@@ -51,11 +51,7 @@ RunResult run(bool stages_on, sim::Duration sim_time) {
   o.prune_lag = 8;
   o.threads = g_threads;
   o.intern = g_intern;
-  if (!stages_on) {
-    o.pipeline.dedup = false;
-    o.pipeline.cache = false;
-    o.pipeline.batch = false;
-  }
+  o.pipeline.stages = stages_on;
   o.delay_model = [](size_t, uint64_t) {
     return std::make_unique<sim::FixedDelay>(sim::msec(10));
   };

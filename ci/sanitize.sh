@@ -11,7 +11,8 @@
 #                             concurrency-bearing suites (support executor /
 #                             defer queue, parallel sim engine, pipeline
 #                             verifier slicing, shared intern store, obs
-#                             journal + metrics), run
+#                             journal + metrics, the wall-clock runtime
+#                             profiler and the windowed time series), run
 #                             with ICC_THREADS=8 so every guarded test
 #                             actually exercises the worker pool. TSan and
 #                             ASan cannot be combined in one binary, hence
@@ -52,7 +53,8 @@ if [ "$SANITIZER" = "tsan" ]; then
   # not from parallel test jobs. (ctest -R matches test names, not binaries,
   # and exits 0 on an empty match — direct invocation fails loudly instead.)
   export ICC_THREADS=8
-  for suite in support_test sim_test pipeline_test intern_test obs_test journal_test causal_test; do
+  for suite in support_test sim_test pipeline_test intern_test obs_test journal_test causal_test \
+               runtime_test timeseries_test; do
     echo "== $suite (TSan, ICC_THREADS=8) =="
     "$BUILD_DIR/tests/$suite"
   done

@@ -54,11 +54,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 
 #include "harness/cluster.hpp"
 #include "obs/audit.hpp"
 #include "obs/causal.hpp"
+#include "support/bytes.hpp"
 
 int main(int argc, char** argv) {
   using namespace icc;
@@ -238,13 +238,10 @@ int main(int argc, char** argv) {
   }
 
   // --- artifacts ---
-  std::ofstream mf(metrics_path);
-  if (!mf) {
+  if (!icc::write_file(metrics_path, cluster.metrics_json() + "\n")) {
     std::fprintf(stderr, "cannot write %s\n", metrics_path);
     return 1;
   }
-  mf << cluster.metrics_json() << "\n";
-  mf.close();
   // With --runtime the trace file carries both clocks: virtual-time party
   // tracks plus wall-clock worker lanes, in one trace_event container.
   const bool trace_ok = o.obs.runtime ? cluster.dump_runtime_trace(trace_path)

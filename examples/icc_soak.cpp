@@ -74,15 +74,8 @@ class PartitionDelay final : public icc::sim::DelayModel {
 };
 
 int64_t rss_kb_now() {
-  int64_t rss = -1;
-#if defined(__linux__)
-  if (FILE* f = std::fopen("/proc/self/status", "r")) {
-    char line[256];
-    while (std::fgets(line, sizeof(line), f) != nullptr)
-      if (std::strncmp(line, "VmRSS:", 6) == 0) rss = std::strtoll(line + 6, nullptr, 10);
-    std::fclose(f);
-  }
-#endif
+  int64_t rss = -1, peak = -1;
+  icc::obs::proc_rss_kb(&rss, &peak);
   return rss;
 }
 

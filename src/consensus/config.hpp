@@ -76,8 +76,8 @@ struct DelayFunctions {
 struct PartyConfig {
   crypto::CryptoProvider* crypto = nullptr;
   /// Staged ingress pipeline knobs (decode → dedup → verify → apply). The
-  /// defaults enable dedup, memoization and batch verification; disable them
-  /// individually to reproduce the pre-pipeline verify-on-insert behaviour.
+  /// default enables dedup, memoization and batch verification; switch
+  /// `stages` off to reproduce the pre-pipeline verify-on-insert behaviour.
   pipeline::PipelineOptions pipeline;
   DelayFunctions delays;
   std::shared_ptr<PayloadBuilder> payload;

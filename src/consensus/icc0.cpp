@@ -37,11 +37,11 @@ Icc0Party::Icc0Party(PartyIndex self, const PartyConfig& config)
   verifier_.attach_executor(config.executor);
   verifier_.attach_runtime(config.obs != nullptr ? config.obs->runtime() : nullptr);
   // The shared verdict memo keys off the per-party cache keys; without the
-  // cache stage it would never be consulted on the share paths, so the
-  // store is only wired through the Verifier when the cache is on. The
-  // decode side has no such dependency.
+  // pipeline stages it would never be consulted on the share paths, so the
+  // store is only wired through the Verifier when they are on. The decode
+  // side has no such dependency.
   pipeline_.attach_intern(config.intern);
-  if (config.pipeline.cache) verifier_.attach_intern(config.intern);
+  if (config.pipeline.stages) verifier_.attach_intern(config.intern);
 }
 
 void Icc0Party::start(sim::Context& ctx) {

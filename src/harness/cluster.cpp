@@ -1,13 +1,13 @@
 #include "harness/cluster.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 
 #include "consensus/icc1.hpp"
 #include "consensus/icc2.hpp"
+#include "support/bytes.hpp"
 #include "support/defer.hpp"
 
 namespace icc::harness {
@@ -379,11 +379,7 @@ std::string Cluster::runtime_report_json() const {
 }
 
 bool Cluster::dump_runtime_report(const std::string& path) const {
-  if (runtime() == nullptr) return false;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << runtime_report_json();
-  return static_cast<bool>(out);
+  return runtime() != nullptr && write_file(path, runtime_report_json());
 }
 
 std::string Cluster::runtime_trace_json() const {
@@ -393,11 +389,7 @@ std::string Cluster::runtime_trace_json() const {
 }
 
 bool Cluster::dump_runtime_trace(const std::string& path) const {
-  if (runtime() == nullptr) return false;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << runtime_trace_json();
-  return static_cast<bool>(out);
+  return runtime() != nullptr && write_file(path, runtime_trace_json());
 }
 
 obs::Journal* Cluster::journal() const {

@@ -1,20 +1,17 @@
 #include "obs/journal.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <memory>
 
-#include "obs/metrics.hpp"  // json_escape
 #include "obs/obs.hpp"
+#include "support/bytes.hpp"
 #include "support/defer.hpp"
+#include "support/json.hpp"
 
 namespace icc::obs {
 
 namespace {
-
-constexpr char kHexDigits[] = "0123456789abcdef";
 
 /// Intern a parsed string onto the static journal constants (event types,
 /// provenance/phase literals) so recorded and parsed events compare equal by
@@ -38,69 +35,66 @@ const char* intern_string(const std::string& s) {
   return pool->back()->c_str();
 }
 
-int hex_nibble(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
+}  // namespace
+
+// The two JSONL record types. `events` and `seq` are written from the
+// exporter's context, never stored; v1 journals simply lack the causal
+// fields (peer, edge), which then keep their sentinels.
+template <class Io>
+void json_fields(Io& io, JournalMeta& m, uint64_t events = 0) {
+  io.tag("type", "meta");
+  io.field("schema", m.schema);
+  io.field("n", m.n);
+  io.field("t", m.t);
+  io.tag("quorum", m.quorum());
+  io.field("protocol", m.protocol);
+  io.field("seed", m.seed);
+  io.tag("events", events);
+  io.field("dropped", m.dropped);
 }
 
-/// Find `"key":` in `line` and return the character offset just past the
-/// colon, or npos. Good enough for the journal's own output format (keys
-/// are never substrings of string values thanks to the quoted-colon form).
-size_t value_offset(const std::string& line, const char* key) {
-  std::string pat = std::string("\"") + key + "\":";
-  size_t at = line.find(pat);
-  return at == std::string::npos ? std::string::npos : at + pat.size();
+template <class Io>
+void json_fields(Io& io, JournalEvent& ev, uint64_t seq = 0) {
+  constexpr uint32_t kNoParty = JournalEvent::kNoParty;
+  io.tag("seq", seq);
+  io.field("type", json::Interned{ev.type, intern_string});
+  io.field("ts", ev.ts);
+  io.opt("party", ev.party, kNoParty);
+  io.opt("peer", ev.peer, kNoParty);
+  io.opt("round", ev.round, 0);
+  io.opt("proposer", ev.proposer, kNoParty);
+  io.opt("edge", ev.edge, 0);
+  io.opt("hash", json::Hex{ev.hash, ev.hash_len});
+  io.opt("signers", ev.signers);
+  io.opt("detail", json::Interned{ev.detail, intern_string});
+  io.opt("value", ev.value, JournalEvent::kNoValue);
 }
 
-bool parse_u64(const std::string& line, const char* key, uint64_t* out) {
-  size_t at = value_offset(line, key);
-  if (at == std::string::npos) return false;
-  *out = std::strtoull(line.c_str() + at, nullptr, 10);
-  return true;
+namespace {
+
+std::optional<JournalEvent> event_from(const json::Value& v) {
+  const std::string_view type = v.text("type");
+  if (type.empty() || type == "meta") return std::nullopt;
+  JournalEvent ev;
+  json::read(v, ev);
+  return ev;
 }
 
-bool parse_i64(const std::string& line, const char* key, int64_t* out) {
-  size_t at = value_offset(line, key);
-  if (at == std::string::npos) return false;
-  *out = std::strtoll(line.c_str() + at, nullptr, 10);
-  return true;
+std::optional<JournalMeta> meta_from(const json::Value& v) {
+  if (v.text("type") != "meta") return std::nullopt;
+  JournalMeta m;
+  json::read(v, m);
+  if (m.schema.empty()) m.schema = JournalMeta::kSchemaV1;
+  return m;
 }
 
-bool parse_string(const std::string& line, const char* key, std::string* out) {
-  size_t at = value_offset(line, key);
-  if (at == std::string::npos || at >= line.size() || line[at] != '"') return false;
-  size_t end = line.find('"', at + 1);
-  if (end == std::string::npos) return false;
-  *out = line.substr(at + 1, end - at - 1);
-  return true;
-}
-
-bool parse_u32_array(const std::string& line, const char* key, std::vector<uint32_t>* out) {
-  size_t at = value_offset(line, key);
-  if (at == std::string::npos || at >= line.size() || line[at] != '[') return false;
-  size_t end = line.find(']', at);
-  if (end == std::string::npos) return false;
-  out->clear();
-  const char* p = line.c_str() + at + 1;
-  const char* stop = line.c_str() + end;
-  while (p < stop) {
-    char* next = nullptr;
-    unsigned long v = std::strtoul(p, &next, 10);
-    if (next == p) break;
-    out->push_back(static_cast<uint32_t>(v));
-    p = next;
-    while (p < stop && (*p == ',' || *p == ' ')) ++p;
-  }
-  return true;
+std::optional<json::Value> parse_line(const std::string& line) {
+  json::Value v;
+  if (!json::parse(line, &v, nullptr)) return std::nullopt;
+  return v;
 }
 
 }  // namespace
-
-std::string hash_hex(const std::array<uint8_t, 32>& h) {
-  return bytes_hex(h.data(), h.size());
-}
 
 void JournalEvent::set_hash(const uint8_t* data, size_t len) {
   hash_len = static_cast<uint8_t>(len < hash.size() ? len : hash.size());
@@ -108,16 +102,7 @@ void JournalEvent::set_hash(const uint8_t* data, size_t len) {
 }
 
 std::string JournalEvent::hash_hex() const {
-  return bytes_hex(hash.data(), hash_len);
-}
-
-std::string bytes_hex(const uint8_t* data, size_t len) {
-  std::string s(len * 2, '0');
-  for (size_t i = 0; i < len; ++i) {
-    s[2 * i] = kHexDigits[data[i] >> 4];
-    s[2 * i + 1] = kHexDigits[data[i] & 0xf];
-  }
-  return s;
+  return to_hex(BytesView(hash.data(), hash_len));
 }
 
 // ---------------------------------------------------------------------------
@@ -163,122 +148,50 @@ void Journal::merge_external(std::vector<std::pair<uint64_t, JournalEvent>>&& re
 
 std::string Journal::meta_json(const JournalMeta& meta, uint64_t event_count,
                                uint64_t dropped) {
-  std::ostringstream os;
-  os << "{\"type\":\"meta\",\"schema\":\""
-     << json_escape(meta.schema.empty() ? JournalMeta::kSchemaV1 : meta.schema)
-     << "\",\"n\":" << meta.n
-     << ",\"t\":" << meta.t << ",\"quorum\":" << meta.quorum() << ",\"protocol\":\""
-     << json_escape(meta.protocol) << "\",\"seed\":" << meta.seed
-     << ",\"events\":" << event_count << ",\"dropped\":" << dropped << "}";
-  return os.str();
+  JournalMeta m = meta;
+  if (m.schema.empty()) m.schema = JournalMeta::kSchemaV1;
+  m.dropped = dropped;
+  return json::write(m, event_count);
 }
 
 std::string Journal::event_json(const JournalEvent& ev, uint64_t seq) {
-  std::ostringstream os;
-  os << "{\"seq\":" << seq << ",\"type\":\"" << json_escape(ev.type ? ev.type : "")
-     << "\",\"ts\":" << ev.ts;
-  if (ev.party != JournalEvent::kNoParty) os << ",\"party\":" << ev.party;
-  if (ev.peer != JournalEvent::kNoParty) os << ",\"peer\":" << ev.peer;
-  if (ev.round != 0) os << ",\"round\":" << ev.round;
-  if (ev.proposer != JournalEvent::kNoParty) os << ",\"proposer\":" << ev.proposer;
-  if (ev.edge != 0) os << ",\"edge\":" << ev.edge;
-  if (ev.hash_len != 0) {
-    os << ",\"hash\":\"";
-    for (uint8_t i = 0; i < ev.hash_len; ++i)
-      os << kHexDigits[ev.hash[i] >> 4] << kHexDigits[ev.hash[i] & 0xf];
-    os << "\"";
-  }
-  if (!ev.signers.empty()) {
-    os << ",\"signers\":[";
-    for (size_t i = 0; i < ev.signers.size(); ++i) {
-      if (i) os << ",";
-      os << ev.signers[i];
-    }
-    os << "]";
-  }
-  if (ev.has_detail()) os << ",\"detail\":\"" << json_escape(ev.detail) << "\"";
-  if (ev.value != JournalEvent::kNoValue) os << ",\"value\":" << ev.value;
-  os << "}";
-  return os.str();
+  return json::write(ev, seq);
 }
 
 std::string Journal::to_jsonl() const {
-  std::ostringstream os;
-  os << meta_json(meta_, events_.size(), dropped_) << "\n";
+  std::string out = meta_json(meta_, events_.size(), dropped_) + "\n";
   uint64_t seq = 1;
-  for (const JournalEvent& ev : events_) os << event_json(ev, seq++) << "\n";
-  return os.str();
+  for (const JournalEvent& ev : events_) {
+    json::write_to(&out, ev, seq++);
+    out.push_back('\n');
+  }
+  return out;
 }
 
-bool Journal::write_jsonl(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << to_jsonl();
-  return static_cast<bool>(out);
-}
+bool Journal::write_jsonl(const std::string& path) const { return write_file(path, to_jsonl()); }
 
 std::optional<JournalEvent> Journal::parse_event_line(const std::string& line) {
-  std::string type;
-  if (!parse_string(line, "type", &type) || type.empty() || type == "meta")
-    return std::nullopt;
-  JournalEvent ev;
-  ev.type = intern_string(type);
-  parse_i64(line, "ts", &ev.ts);
-  uint64_t u = 0;
-  if (parse_u64(line, "party", &u)) ev.party = static_cast<uint32_t>(u);
-  if (parse_u64(line, "peer", &u)) ev.peer = static_cast<uint32_t>(u);
-  parse_u64(line, "round", &ev.round);
-  if (parse_u64(line, "proposer", &u)) ev.proposer = static_cast<uint32_t>(u);
-  parse_u64(line, "edge", &ev.edge);
-  std::string hex;
-  if (parse_string(line, "hash", &hex)) {
-    for (size_t i = 0; i + 1 < hex.size() && ev.hash_len < ev.hash.size(); i += 2) {
-      int hi = hex_nibble(hex[i]), lo = hex_nibble(hex[i + 1]);
-      if (hi < 0 || lo < 0) break;
-      ev.hash[ev.hash_len++] = static_cast<uint8_t>(hi << 4 | lo);
-    }
-  }
-  parse_u32_array(line, "signers", &ev.signers);
-  std::string detail;
-  if (parse_string(line, "detail", &detail) && !detail.empty())
-    ev.detail = intern_string(detail);
-  parse_i64(line, "value", &ev.value);
-  return ev;
+  const auto v = parse_line(line);
+  return v ? event_from(*v) : std::nullopt;
 }
 
 std::optional<JournalMeta> Journal::parse_meta_line(const std::string& line) {
-  std::string type;
-  if (!parse_string(line, "type", &type) || type != "meta") return std::nullopt;
-  JournalMeta m;
-  uint64_t u = 0;
-  if (parse_u64(line, "n", &u)) m.n = static_cast<uint32_t>(u);
-  if (parse_u64(line, "t", &u)) m.t = static_cast<uint32_t>(u);
-  parse_string(line, "protocol", &m.protocol);
-  parse_u64(line, "seed", &m.seed);
-  std::string schema;
-  if (parse_string(line, "schema", &schema) && !schema.empty()) m.schema = schema;
-  parse_u64(line, "dropped", &m.dropped);
-  return m;
+  const auto v = parse_line(line);
+  return v ? meta_from(*v) : std::nullopt;
 }
 
 Journal::Parsed Journal::parse_jsonl(const std::string& text) {
   Parsed out;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) nl = text.size();
-    std::string line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty()) continue;
+  json::for_each_object_line(text, [&](const json::Value& v) {
     if (!out.has_meta) {
-      if (auto meta = parse_meta_line(line)) {
-        out.meta = *meta;
+      if (auto meta = meta_from(v)) {
+        out.meta = std::move(*meta);
         out.has_meta = true;
-        continue;
+        return;
       }
     }
-    if (auto ev = parse_event_line(line)) out.events.push_back(std::move(*ev));
-  }
+    if (auto ev = event_from(v)) out.events.push_back(std::move(*ev));
+  });
   return out;
 }
 
@@ -291,53 +204,35 @@ void JournalScribe::attach(Obs* obs, uint32_t party) {
   party_ = party;
 }
 
-void JournalScribe::round_enter(uint64_t round, int64_t now) {
-  if (!journal_) return;
+JournalEvent JournalScribe::event(const char* type, uint64_t round, int64_t now,
+                                  uint32_t proposer, std::span<const uint8_t> hash) const {
   JournalEvent ev;
-  ev.type = journal_type::kRoundEnter;
+  ev.type = type;
   ev.ts = now;
   ev.party = party_;
   ev.round = round;
-  journal_->append(std::move(ev));
+  ev.proposer = proposer;
+  if (!hash.empty()) ev.set_hash(hash.data(), hash.size());
+  return ev;
+}
+
+void JournalScribe::round_enter(uint64_t round, int64_t now) {
+  if (journal_) journal_->append(event(journal_type::kRoundEnter, round, now));
 }
 
 void JournalScribe::proposal(uint64_t round, uint32_t proposer,
                              const std::array<uint8_t, 32>& hash, int64_t now) {
-  if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kProposal;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  ev.proposer = proposer;
-  ev.set_hash(hash.data(), hash.size());
-  journal_->append(std::move(ev));
+  if (journal_) journal_->append(event(journal_type::kProposal, round, now, proposer, hash));
 }
 
 void JournalScribe::propose(uint64_t round, const std::array<uint8_t, 32>& hash,
                             int64_t now) {
-  if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kPropose;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  ev.proposer = party_;
-  ev.set_hash(hash.data(), hash.size());
-  journal_->append(std::move(ev));
+  if (journal_) journal_->append(event(journal_type::kPropose, round, now, party_, hash));
 }
 
 void JournalScribe::notar_share(uint64_t round, uint32_t proposer,
                                 const std::array<uint8_t, 32>& hash, int64_t now) {
-  if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kNotarShare;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  ev.proposer = proposer;
-  ev.set_hash(hash.data(), hash.size());
-  journal_->append(std::move(ev));
+  if (journal_) journal_->append(event(journal_type::kNotarShare, round, now, proposer, hash));
 }
 
 void JournalScribe::notar_agg(uint64_t round, uint32_t proposer,
@@ -345,13 +240,7 @@ void JournalScribe::notar_agg(uint64_t round, uint32_t proposer,
                               std::vector<uint32_t> signers, const char* provenance,
                               int64_t now) {
   if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kNotarAgg;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  ev.proposer = proposer;
-  ev.set_hash(hash.data(), hash.size());
+  JournalEvent ev = event(journal_type::kNotarAgg, round, now, proposer, hash);
   ev.signers = std::move(signers);
   ev.detail = provenance;
   journal_->append(std::move(ev));
@@ -359,15 +248,7 @@ void JournalScribe::notar_agg(uint64_t round, uint32_t proposer,
 
 void JournalScribe::final_share(uint64_t round, uint32_t proposer,
                                 const std::array<uint8_t, 32>& hash, int64_t now) {
-  if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kFinalShare;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  ev.proposer = proposer;
-  ev.set_hash(hash.data(), hash.size());
-  journal_->append(std::move(ev));
+  if (journal_) journal_->append(event(journal_type::kFinalShare, round, now, proposer, hash));
 }
 
 void JournalScribe::final_agg(uint64_t round, uint32_t proposer,
@@ -375,13 +256,7 @@ void JournalScribe::final_agg(uint64_t round, uint32_t proposer,
                               std::vector<uint32_t> signers, const char* provenance,
                               int64_t now) {
   if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kFinalAgg;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  ev.proposer = proposer;
-  ev.set_hash(hash.data(), hash.size());
+  JournalEvent ev = event(journal_type::kFinalAgg, round, now, proposer, hash);
   ev.signers = std::move(signers);
   ev.detail = provenance;
   journal_->append(std::move(ev));
@@ -389,61 +264,28 @@ void JournalScribe::final_agg(uint64_t round, uint32_t proposer,
 
 void JournalScribe::finalized(uint64_t round, const std::array<uint8_t, 32>& hash,
                               int64_t now) {
-  if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kFinalized;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  ev.set_hash(hash.data(), hash.size());
-  journal_->append(std::move(ev));
+  if (journal_) journal_->append(event(journal_type::kFinalized, round, now, kNoParty, hash));
 }
 
 void JournalScribe::commit(uint64_t round, const std::array<uint8_t, 32>& hash,
                            int64_t now) {
-  if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kCommit;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  ev.set_hash(hash.data(), hash.size());
-  journal_->append(std::move(ev));
+  if (journal_) journal_->append(event(journal_type::kCommit, round, now, kNoParty, hash));
 }
 
 void JournalScribe::beacon_share(uint64_t round, int64_t now) {
-  if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kBeaconShare;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  journal_->append(std::move(ev));
+  if (journal_) journal_->append(event(journal_type::kBeaconShare, round, now));
 }
 
 void JournalScribe::beacon(uint64_t round, const std::vector<uint8_t>& value,
                            int64_t now) {
-  if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kBeacon;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  ev.set_hash(value.data(), value.size());
-  journal_->append(std::move(ev));
+  if (journal_) journal_->append(event(journal_type::kBeacon, round, now, kNoParty, value));
 }
 
 void JournalScribe::rbc_phase(uint64_t round, uint32_t proposer,
                               const std::array<uint8_t, 32>& hash, const char* phase,
                               int64_t now) {
   if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kRbcPhase;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  ev.proposer = proposer;
-  ev.set_hash(hash.data(), hash.size());
+  JournalEvent ev = event(journal_type::kRbcPhase, round, now, proposer, hash);
   ev.detail = phase;
   journal_->append(std::move(ev));
 }
@@ -451,12 +293,7 @@ void JournalScribe::rbc_phase(uint64_t round, uint32_t proposer,
 void JournalScribe::gossip_deliver(uint64_t round, const std::array<uint8_t, 32>& artifact_id,
                                    uint64_t bytes, int64_t now) {
   if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kGossipDeliver;
-  ev.ts = now;
-  ev.party = party_;
-  ev.round = round;
-  ev.set_hash(artifact_id.data(), artifact_id.size());
+  JournalEvent ev = event(journal_type::kGossipDeliver, round, now, kNoParty, artifact_id);
   ev.value = static_cast<int64_t>(bytes);
   journal_->append(std::move(ev));
 }
@@ -464,26 +301,16 @@ void JournalScribe::gossip_deliver(uint64_t round, const std::array<uint8_t, 32>
 void JournalScribe::gossip_advert(uint64_t round, const std::array<uint8_t, 32>& artifact_id,
                                   uint32_t advertiser, int64_t now) {
   if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kGossipAdvert;
-  ev.ts = now;
-  ev.party = party_;
+  JournalEvent ev = event(journal_type::kGossipAdvert, round, now, kNoParty, artifact_id);
   ev.peer = advertiser;
-  ev.round = round;
-  ev.set_hash(artifact_id.data(), artifact_id.size());
   journal_->append(std::move(ev));
 }
 
 void JournalScribe::gossip_request(uint64_t round, const std::array<uint8_t, 32>& artifact_id,
                                    uint32_t target, int64_t attempt, int64_t now) {
   if (!journal_) return;
-  JournalEvent ev;
-  ev.type = journal_type::kGossipRequest;
-  ev.ts = now;
-  ev.party = party_;
+  JournalEvent ev = event(journal_type::kGossipRequest, round, now, kNoParty, artifact_id);
   ev.peer = target;
-  ev.round = round;
-  ev.set_hash(artifact_id.data(), artifact_id.size());
   ev.value = attempt;
   journal_->append(std::move(ev));
 }

@@ -24,6 +24,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -187,11 +188,6 @@ class Journal {
   uint64_t external_ = 0;  ///< slots reserved but not yet merged
 };
 
-/// Lowercase hex of a 32-byte digest (types::Hash without the dependency).
-std::string hash_hex(const std::array<uint8_t, 32>& h);
-/// Lowercase hex of arbitrary bytes (beacon values).
-std::string bytes_hex(const uint8_t* data, size_t len);
-
 class Obs;  // obs.hpp owns the Journal alongside the Registry and Tracer
 
 /// Per-subsystem emitter following the null-probe pattern: attach() wires it
@@ -244,6 +240,12 @@ class JournalScribe {
                       uint32_t target, int64_t attempt, int64_t now);
 
  private:
+  static constexpr uint32_t kNoParty = JournalEvent::kNoParty;
+  /// A `type` event for `round`, stamped with this party and `now`, naming
+  /// the block's proposer and hash (or beacon value) when given.
+  JournalEvent event(const char* type, uint64_t round, int64_t now,
+                     uint32_t proposer = kNoParty, std::span<const uint8_t> hash = {}) const;
+
   Journal* journal_ = nullptr;
   uint32_t party_ = 0;
 };

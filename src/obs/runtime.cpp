@@ -1,17 +1,15 @@
 #include "obs/runtime.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
-#include "obs/metrics.hpp"  // json_escape
 #include "obs/trace.hpp"
+#include "support/json.hpp"
 #include "support/log.hpp"
 
 #if defined(__linux__)
@@ -35,6 +33,7 @@ const char* const kLockNames[kLockSites] = {
     "intern_artifacts",
     "intern_verdicts",
 };
+constexpr char kRuntimeSchema[] = "icc-runtime/v1";
 
 uint64_t os_thread_id() {
 #if defined(__linux__)
@@ -85,7 +84,8 @@ int64_t proc_thread_cpu_ns(uint64_t tid) {
 #endif
 }
 
-/// VmRSS / VmHWM in kB from /proc/self/status; -1 when unavailable.
+}  // namespace
+
 void proc_rss_kb(int64_t* rss_kb, int64_t* peak_kb) {
   *rss_kb = -1;
   *peak_kb = -1;
@@ -100,8 +100,6 @@ void proc_rss_kb(int64_t* rss_kb, int64_t* peak_kb) {
   }
 #endif
 }
-
-}  // namespace
 
 const char* task_kind_name(TaskKind kind) {
   const size_t i = static_cast<size_t>(kind);
@@ -339,354 +337,82 @@ std::string RuntimeProfiler::trace_json(const Tracer* virtual_tracer) const {
 // icc-runtime/v1 JSON serialization
 // ---------------------------------------------------------------------------
 
-std::string runtime_report_json(const RuntimeReport& rep) {
-  std::ostringstream os;
-  os << "{\"schema\":\"icc-runtime/v1\",\"nondeterministic\":true"
-     << ",\"threads\":" << rep.threads << ",\"wall_ns\":" << rep.wall_ns
-     << ",\"defer_high_water\":" << rep.defer_high_water << ",\"rss_kb\":" << rep.rss_kb
-     << ",\"peak_rss_kb\":" << rep.peak_rss_kb;
-  if (rep.has_intern) {
-    os << ",\"intern\":{\"physical\":true,\"parses\":" << rep.intern_parses
-       << ",\"decode_hits\":" << rep.intern_decode_hits
-       << ",\"real_verifications\":" << rep.intern_real_verifications
-       << ",\"memo_hits\":" << rep.intern_memo_hits << ",\"primed\":" << rep.intern_primed
-       << "}";
-  }
-  os << ",\"workers\":[";
-  for (size_t i = 0; i < rep.workers.size(); ++i) {
-    const WorkerReport& w = rep.workers[i];
-    if (i) os << ",";
-    os << "\n {\"name\":\"" << json_escape(w.name) << "\",\"busy_ns\":" << w.busy_ns
-       << ",\"idle_ns\":" << w.idle_ns << ",\"cpu_ns\":" << w.cpu_ns
-       << ",\"claimed\":" << w.claimed << ",\"stolen\":" << w.stolen
-       << ",\"spans_recorded\":" << w.spans_recorded
-       << ",\"spans_dropped\":" << w.spans_dropped << ",\"tasks\":[";
-    bool first = true;
-    for (size_t k = 0; k < kTaskKinds; ++k) {
-      const TaskAgg& t = w.tasks[k];
-      if (t.count == 0) continue;
-      if (!first) os << ",";
-      first = false;
-      os << "{\"kind\":\"" << kTaskNames[k] << "\",\"count\":" << t.count
-         << ",\"total_ns\":" << t.total_ns << ",\"exclusive_ns\":" << t.exclusive_ns
-         << ",\"max_ns\":" << t.max_ns << "}";
-    }
-    os << "],\"locks\":[";
-    first = true;
-    for (size_t k = 0; k < kLockSites; ++k) {
-      const LockStat& s = w.locks[k];
-      if (s.acquisitions == 0) continue;
-      if (!first) os << ",";
-      first = false;
-      os << "{\"site\":\"" << kLockNames[k] << "\",\"acquisitions\":" << s.acquisitions
-         << ",\"contended\":" << s.contended << ",\"wait_ns\":" << s.wait_ns
-         << ",\"max_wait_ns\":" << s.max_wait_ns << "}";
-    }
-    os << "]}";
-  }
-  os << "\n]}\n";
-  return os.str();
+template <class Io>
+void json_fields(Io& io, TaskAgg& t) {
+  io.field("count", t.count);
+  io.field("total_ns", t.total_ns);
+  io.field("exclusive_ns", t.exclusive_ns);
+  io.field("max_ns", t.max_ns);
 }
 
-// --- minimal recursive-descent parser for exactly this schema ---
-
-namespace {
-
-struct Cursor {
-  const char* p;
-  const char* end;
-  std::string* err;
-
-  bool fail(const std::string& msg) {
-    if (err != nullptr && err->empty()) {
-      *err = msg + " at offset " + std::to_string(pos_);
-    }
-    return false;
-  }
-  size_t pos_ = 0;
-  void advance(size_t k) {
-    p += k;
-    pos_ += k;
-  }
-  void skip_ws() {
-    while (p < end && (std::isspace(static_cast<unsigned char>(*p)) != 0)) advance(1);
-  }
-  bool lit(char c) {
-    skip_ws();
-    if (p >= end || *p != c) return fail(std::string("expected '") + c + "'");
-    advance(1);
-    return true;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return p < end && *p == c;
-  }
-};
-
-bool parse_string(Cursor& c, std::string* out) {
-  if (!c.lit('"')) return false;
-  out->clear();
-  while (c.p < c.end && *c.p != '"') {
-    if (*c.p == '\\') {
-      c.advance(1);
-      if (c.p >= c.end) return c.fail("truncated escape");
-    }
-    out->push_back(*c.p);
-    c.advance(1);
-  }
-  if (c.p >= c.end) return c.fail("unterminated string");
-  c.advance(1);
-  return true;
+template <class Io>
+void json_fields(Io& io, LockStat& s) {
+  io.field("acquisitions", s.acquisitions);
+  io.field("contended", s.contended);
+  io.field("wait_ns", s.wait_ns);
+  io.field("max_wait_ns", s.max_wait_ns);
 }
 
-bool parse_i64(Cursor& c, int64_t* out) {
-  c.skip_ws();
-  char* endp = nullptr;
-  const long long v = std::strtoll(c.p, &endp, 10);
-  if (endp == c.p || endp > c.end) return c.fail("expected integer");
-  c.advance(static_cast<size_t>(endp - c.p));
-  *out = v;
-  return true;
+template <class Io>
+void json_fields(Io& io, WorkerReport& w) {
+  io.field("name", w.name);
+  io.field("busy_ns", w.busy_ns);
+  io.field("idle_ns", w.idle_ns);
+  io.field("cpu_ns", w.cpu_ns);
+  io.field("claimed", w.claimed);
+  io.field("stolen", w.stolen);
+  io.field("spans_recorded", w.spans_recorded);
+  io.field("spans_dropped", w.spans_dropped);
+  io.field("tasks", json::Keyed{w.tasks, "kind", kTaskNames});
+  io.field("locks", json::Keyed{w.locks, "site", kLockNames});
 }
 
-bool skip_value(Cursor& c);
-
-bool skip_composite(Cursor& c, char open, char close) {
-  if (!c.lit(open)) return false;
-  if (c.peek(close)) return c.lit(close);
-  for (;;) {
-    if (open == '{') {
-      std::string key;
-      if (!parse_string(c, &key) || !c.lit(':')) return false;
-    }
-    if (!skip_value(c)) return false;
-    if (c.peek(',')) {
-      c.lit(',');
-      continue;
-    }
-    return c.lit(close);
-  }
-}
-
-bool skip_value(Cursor& c) {
-  c.skip_ws();
-  if (c.p >= c.end) return c.fail("truncated value");
-  switch (*c.p) {
-    case '{': return skip_composite(c, '{', '}');
-    case '[': return skip_composite(c, '[', ']');
-    case '"': {
-      std::string s;
-      return parse_string(c, &s);
-    }
-    default: {
-      const char* start = c.p;
-      while (c.p < c.end && std::strchr(",]}\n\r\t ", *c.p) == nullptr) c.advance(1);
-      if (c.p == start) return c.fail("truncated value");
-      return true;
-    }
-  }
-}
-
-/// Parse an object, dispatching each key to `field(key)`; `field` must
-/// consume the value (or return false on error). Unknown keys are skipped by
-/// the caller returning skip_value.
-template <typename FieldFn>
-bool parse_object(Cursor& c, FieldFn&& field) {
-  if (!c.lit('{')) return false;
-  if (c.peek('}')) return c.lit('}');
-  for (;;) {
-    std::string key;
-    if (!parse_string(c, &key) || !c.lit(':')) return false;
-    if (!field(key)) return false;
-    if (c.peek(',')) {
-      c.lit(',');
-      continue;
-    }
-    return c.lit('}');
-  }
-}
-
-template <typename ItemFn>
-bool parse_array(Cursor& c, ItemFn&& item) {
-  if (!c.lit('[')) return false;
-  if (c.peek(']')) return c.lit(']');
-  for (;;) {
-    if (!item()) return false;
-    if (c.peek(',')) {
-      c.lit(',');
-      continue;
-    }
-    return c.lit(']');
-  }
-}
-
-int kind_index(const std::string& name) {
-  for (size_t k = 0; k < kTaskKinds; ++k) {
-    if (name == kTaskNames[k]) return static_cast<int>(k);
-  }
-  return -1;
-}
-
-int site_index(const std::string& name) {
-  for (size_t k = 0; k < kLockSites; ++k) {
-    if (name == kLockNames[k]) return static_cast<int>(k);
-  }
-  return -1;
-}
-
-bool parse_worker(Cursor& c, WorkerReport* w) {
-  return parse_object(c, [&](const std::string& key) -> bool {
-    int64_t v = 0;
-    if (key == "name") return parse_string(c, &w->name);
-    if (key == "busy_ns") return parse_i64(c, &w->busy_ns);
-    if (key == "idle_ns") return parse_i64(c, &w->idle_ns);
-    if (key == "cpu_ns") return parse_i64(c, &w->cpu_ns);
-    if (key == "claimed") {
-      if (!parse_i64(c, &v)) return false;
-      w->claimed = static_cast<uint64_t>(v);
-      return true;
-    }
-    if (key == "stolen") {
-      if (!parse_i64(c, &v)) return false;
-      w->stolen = static_cast<uint64_t>(v);
-      return true;
-    }
-    if (key == "spans_recorded") {
-      if (!parse_i64(c, &v)) return false;
-      w->spans_recorded = static_cast<uint64_t>(v);
-      return true;
-    }
-    if (key == "spans_dropped") {
-      if (!parse_i64(c, &v)) return false;
-      w->spans_dropped = static_cast<uint64_t>(v);
-      return true;
-    }
-    if (key == "tasks") {
-      return parse_array(c, [&]() -> bool {
-        std::string kind;
-        TaskAgg agg;
-        if (!parse_object(c, [&](const std::string& tk) -> bool {
-              int64_t tv = 0;
-              if (tk == "kind") return parse_string(c, &kind);
-              if (tk == "count") {
-                if (!parse_i64(c, &tv)) return false;
-                agg.count = static_cast<uint64_t>(tv);
-                return true;
-              }
-              if (tk == "total_ns") return parse_i64(c, &agg.total_ns);
-              if (tk == "exclusive_ns") return parse_i64(c, &agg.exclusive_ns);
-              if (tk == "max_ns") return parse_i64(c, &agg.max_ns);
-              return skip_value(c);
-            }))
-          return false;
-        const int idx = kind_index(kind);
-        if (idx >= 0) w->tasks[static_cast<size_t>(idx)] = agg;
-        return true;  // unknown kinds: forward compatibility, ignore
-      });
-    }
-    if (key == "locks") {
-      return parse_array(c, [&]() -> bool {
-        std::string site;
-        LockStat st;
-        if (!parse_object(c, [&](const std::string& lk) -> bool {
-              int64_t lv = 0;
-              if (lk == "site") return parse_string(c, &site);
-              if (lk == "acquisitions") {
-                if (!parse_i64(c, &lv)) return false;
-                st.acquisitions = static_cast<uint64_t>(lv);
-                return true;
-              }
-              if (lk == "contended") {
-                if (!parse_i64(c, &lv)) return false;
-                st.contended = static_cast<uint64_t>(lv);
-                return true;
-              }
-              if (lk == "wait_ns") return parse_i64(c, &st.wait_ns);
-              if (lk == "max_wait_ns") return parse_i64(c, &st.max_wait_ns);
-              return skip_value(c);
-            }))
-          return false;
-        const int idx = site_index(site);
-        if (idx >= 0) w->locks[static_cast<size_t>(idx)] = st;
-        return true;
-      });
-    }
-    return skip_value(c);
+template <class Io>
+void json_fields(Io& io, RuntimeReport& r) {
+  io.tag("schema", kRuntimeSchema);
+  io.tag("nondeterministic", true);
+  io.field("threads", r.threads);
+  io.field("wall_ns", r.wall_ns);
+  io.field("defer_high_water", r.defer_high_water);
+  io.field("rss_kb", r.rss_kb);
+  io.field("peak_rss_kb", r.peak_rss_kb);
+  io.group("intern", r.has_intern, [&] {
+    io.tag("physical", true);
+    io.field("parses", r.intern_parses);
+    io.field("decode_hits", r.intern_decode_hits);
+    io.field("real_verifications", r.intern_real_verifications);
+    io.field("memo_hits", r.intern_memo_hits);
+    io.field("primed", r.intern_primed);
   });
+  io.field("workers", r.workers);
 }
 
-}  // namespace
+std::string runtime_report_json(const RuntimeReport& rep) {
+  return json::write(rep) + "\n";
+}
 
-std::optional<RuntimeReport> parse_runtime_report(const std::string& json,
+std::optional<RuntimeReport> parse_runtime_report(const std::string& text,
                                                   std::string* error) {
   std::string local_err;
   std::string* err = error != nullptr ? error : &local_err;
   err->clear();
-  Cursor c{json.data(), json.data() + json.size(), err};
+  json::Value doc;
+  if (!json::parse(text, &doc, err)) return std::nullopt;
+  // Semantic errors point at the offending member (or the document start).
+  auto reject = [&](const std::string& what,
+                    const char* key) -> std::optional<RuntimeReport> {
+    const json::Value* at = key != nullptr ? doc.find(key) : nullptr;
+    *err = json::error_at(what, at != nullptr ? at->offset : doc.offset);
+    return std::nullopt;
+  };
+  if (doc.kind != json::Value::Kind::kObject) return reject("expected object", nullptr);
+  if (doc.find("schema") == nullptr) return reject("missing schema field", nullptr);
+  if (const std::string_view schema = doc.text("schema"); schema != kRuntimeSchema)
+    return reject("unsupported schema \"" + std::string(schema) + "\"", "schema");
   RuntimeReport rep;
-  bool saw_schema = false;
-  const bool ok = parse_object(c, [&](const std::string& key) -> bool {
-    int64_t v = 0;
-    if (key == "schema") {
-      std::string s;
-      if (!parse_string(c, &s)) return false;
-      if (s != "icc-runtime/v1") return c.fail("unsupported schema \"" + s + "\"");
-      saw_schema = true;
-      return true;
-    }
-    if (key == "threads") {
-      if (!parse_i64(c, &v)) return false;
-      rep.threads = static_cast<uint32_t>(v);
-      return true;
-    }
-    if (key == "wall_ns") return parse_i64(c, &rep.wall_ns);
-    if (key == "defer_high_water") {
-      if (!parse_i64(c, &v)) return false;
-      rep.defer_high_water = static_cast<uint64_t>(v);
-      return true;
-    }
-    if (key == "rss_kb") return parse_i64(c, &rep.rss_kb);
-    if (key == "peak_rss_kb") return parse_i64(c, &rep.peak_rss_kb);
-    if (key == "intern") {
-      rep.has_intern = true;
-      return parse_object(c, [&](const std::string& ik) -> bool {
-        int64_t iv = 0;
-        auto u64 = [&](uint64_t* dst) {
-          if (!parse_i64(c, &iv)) return false;
-          *dst = static_cast<uint64_t>(iv);
-          return true;
-        };
-        if (ik == "parses") return u64(&rep.intern_parses);
-        if (ik == "decode_hits") return u64(&rep.intern_decode_hits);
-        if (ik == "real_verifications") return u64(&rep.intern_real_verifications);
-        if (ik == "memo_hits") return u64(&rep.intern_memo_hits);
-        if (ik == "primed") return u64(&rep.intern_primed);
-        return skip_value(c);
-      });
-    }
-    if (key == "workers") {
-      return parse_array(c, [&]() -> bool {
-        WorkerReport w;
-        if (!parse_worker(c, &w)) return false;
-        rep.workers.push_back(std::move(w));
-        return true;
-      });
-    }
-    return skip_value(c);
-  });
-  if (!ok) return std::nullopt;
-  if (!saw_schema) {
-    c.fail("missing schema field");
-    return std::nullopt;
-  }
-  if (rep.wall_ns <= 0) {
-    c.fail("non-positive wall_ns");
-    return std::nullopt;
-  }
-  if (rep.threads == 0) {
-    c.fail("zero threads");
-    return std::nullopt;
-  }
+  if (!json::read(doc, rep, err)) return std::nullopt;
+  if (rep.wall_ns <= 0) return reject("non-positive wall_ns", "wall_ns");
+  if (rep.threads == 0) return reject("zero threads", "threads");
   return rep;
 }
 

@@ -89,6 +89,7 @@ struct LockStat {
   uint64_t contended = 0;     ///< acquisitions that had to block
   int64_t wait_ns = 0;        ///< total blocked time
   int64_t max_wait_ns = 0;    ///< worst single wait
+  bool operator==(const LockStat&) const = default;
 };
 
 struct TaskAgg {
@@ -96,6 +97,7 @@ struct TaskAgg {
   int64_t total_ns = 0;      ///< inclusive wall time
   int64_t exclusive_ns = 0;  ///< total minus same-lane nested spans
   int64_t max_ns = 0;
+  bool operator==(const TaskAgg&) const = default;
 };
 
 struct WorkerReport {
@@ -149,11 +151,16 @@ struct RuntimeAnalysis {
 
 RuntimeAnalysis analyze_runtime(const RuntimeReport& report);
 
+/// VmRSS / VmHWM of this process in kB, from /proc/self/status; -1 when
+/// unavailable.
+void proc_rss_kb(int64_t* rss_kb, int64_t* peak_kb);
+
 /// Serialize to the icc-runtime/v1 JSON document.
 std::string runtime_report_json(const RuntimeReport& report);
-/// Parse an icc-runtime/v1 document; nullopt (with *error set) on malformed
-/// or truncated input. Exact inverse of runtime_report_json for every field
-/// the analysis consumes.
+/// Parse an icc-runtime/v1 document; the exact inverse of
+/// runtime_report_json. Strict: malformed, truncated or mistyped input, a
+/// foreign schema, non-positive wall_ns or zero threads reject the whole
+/// document, with *error naming the problem and its byte offset.
 std::optional<RuntimeReport> parse_runtime_report(const std::string& json,
                                                   std::string* error);
 

@@ -1,11 +1,11 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
-#include "obs/metrics.hpp"  // json_escape
+#include "support/bytes.hpp"
 #include "support/defer.hpp"
+#include "support/json.hpp"
 
 namespace icc::obs {
 
@@ -46,15 +46,15 @@ std::string Tracer::events_json() const {
   for (const TraceEvent* ev : events) {
     if (!first) os << ",\n";
     first = false;
-    os << "{\"name\":\"" << json_escape(ev->name ? ev->name : "") << "\",\"cat\":\""
-       << json_escape(ev->cat ? ev->cat : "") << "\",\"ph\":\"" << ev->ph
+    os << "{\"name\":\"" << json::escape(ev->name ? ev->name : "") << "\",\"cat\":\""
+       << json::escape(ev->cat ? ev->cat : "") << "\",\"ph\":\"" << ev->ph
        << "\",\"ts\":" << ev->ts;
     if (ev->ph == 'X') os << ",\"dur\":" << ev->dur;
     os << ",\"pid\":" << ev->pid << ",\"tid\":" << ev->tid;
     if (ev->ph == 'i') os << ",\"s\":\"t\"";  // instant scope: thread
     if (ev->arg0_key) {
-      os << ",\"args\":{\"" << json_escape(ev->arg0_key) << "\":" << ev->arg0;
-      if (ev->arg1_key) os << ",\"" << json_escape(ev->arg1_key) << "\":" << ev->arg1;
+      os << ",\"args\":{\"" << json::escape(ev->arg0_key) << "\":" << ev->arg0;
+      if (ev->arg1_key) os << ",\"" << json::escape(ev->arg1_key) << "\":" << ev->arg1;
       os << "}";
     }
     os << "}";
@@ -72,11 +72,6 @@ std::string Tracer::to_json() const {
   return os.str();
 }
 
-bool Tracer::write_json(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << to_json();
-  return static_cast<bool>(out);
-}
+bool Tracer::write_json(const std::string& path) const { return write_file(path, to_json()); }
 
 }  // namespace icc::obs

@@ -66,24 +66,6 @@ bool IngressPipeline::dedup_admit(uint32_t from, const types::Hash& id) {
   return true;
 }
 
-std::optional<types::Message> IngressPipeline::decode(uint32_t from, BytesView bytes) {
-  StageTimer timer(decode_wall_ns_);
-  if (options_.dedup) {
-    if (types::sender_scoped_wire(bytes)) {
-      stats_.dedup_exempt++;
-    } else if (!dedup_admit(from, types::artifact_id(bytes))) {
-      return std::nullopt;
-    }
-  }
-  auto msg = types::parse_message(bytes);
-  if (!msg) {
-    stats_.malformed++;
-    return std::nullopt;
-  }
-  stats_.decoded++;
-  return msg;
-}
-
 types::SharedMessage IngressPipeline::decode_shared(
     uint32_t from, const std::shared_ptr<const Bytes>& payload) {
   StageTimer timer(decode_wall_ns_);
@@ -92,7 +74,7 @@ types::SharedMessage IngressPipeline::decode_shared(
     // path computes, so the dedup window sees identical ids in identical
     // order — stats and eviction cannot diverge between the two modes.
     auto entry = intern_->intern(payload);
-    if (options_.dedup) {
+    if (options_.stages) {
       if (entry->sender_scoped) {
         stats_.dedup_exempt++;
       } else if (!dedup_admit(from, entry->artifact_id)) {
@@ -107,7 +89,7 @@ types::SharedMessage IngressPipeline::decode_shared(
     return entry->msg;
   }
   BytesView bytes(*payload);
-  if (options_.dedup) {
+  if (options_.stages) {
     if (types::sender_scoped_wire(bytes)) {
       stats_.dedup_exempt++;
     } else if (!dedup_admit(from, types::artifact_id(bytes))) {

@@ -44,16 +44,13 @@ class IngressPipeline {
     stats_.duplicates_from.assign(n_parties, 0);
   }
 
-  /// Stages 1+2: parse `bytes` from party `from`, dropping malformed and
-  /// exact-duplicate payloads. Returns the typed artifact, or nullopt if the
-  /// payload was dropped.
-  std::optional<types::Message> decode(uint32_t from, BytesView bytes);
-
-  /// Shared-buffer variant of decode(): with an attached InternStore the
-  /// parse (and artifact hash) happens once per distinct payload
-  /// cluster-wide; without one this is decode() plus a per-party allocation
-  /// of the result. Stats (decoded/malformed/duplicates/dedup_exempt), the
-  /// per-party dedup window and its eviction order are identical either way.
+  /// Stages 1+2: parse `payload` from party `from`, dropping malformed and
+  /// exact-duplicate payloads. Returns the typed artifact, or null if the
+  /// payload was dropped. With an attached InternStore the parse (and
+  /// artifact hash) happens once per distinct payload cluster-wide; without
+  /// one every party parses its own copy. Stats (decoded/malformed/
+  /// duplicates/dedup_exempt), the per-party dedup window and its eviction
+  /// order are identical either way.
   types::SharedMessage decode_shared(uint32_t from,
                                      const std::shared_ptr<const Bytes>& payload);
 

@@ -28,7 +28,7 @@ types::Hash Verifier::cache_key(Domain domain, crypto::PartyIndex signer, BytesV
 }
 
 std::optional<bool> Verifier::lookup(const types::Hash& key) {
-  if (!options_.cache) return std::nullopt;
+  if (!options_.stages) return std::nullopt;
   Shard& s = shard_for(key);
   obs::SampledLock lk(s.mu, runtime_, obs::LockSite::kVerifierCache);
   if (auto it = s.current.find(key); it != s.current.end()) return it->second;
@@ -37,7 +37,7 @@ std::optional<bool> Verifier::lookup(const types::Hash& key) {
 }
 
 void Verifier::remember(const types::Hash& key, bool verdict) {
-  if (!options_.cache || options_.cache_capacity == 0) return;
+  if (!options_.stages || options_.cache_capacity == 0) return;
   Shard& s = shard_for(key);
   obs::SampledLock lk(s.mu, runtime_, obs::LockSite::kVerifierCache);
   if (s.current.size() >= rotate_threshold()) {
@@ -50,7 +50,7 @@ void Verifier::remember(const types::Hash& key, bool verdict) {
 template <typename Check>
 bool Verifier::memoized(Domain domain, crypto::PartyIndex signer, BytesView message,
                         BytesView signature, Check&& check) {
-  if (!options_.cache) {
+  if (!options_.stages) {
     stats_.provider_verifications.fetch_add(1, kRelaxed);
     return check();
   }
@@ -105,39 +105,33 @@ bool Verifier::verify_beacon_share(crypto::PartyIndex signer, BytesView message,
                   [&] { return provider_->beacon_verify_share(signer, message, share); });
 }
 
+void Verifier::prime(Domain domain, crypto::PartyIndex signer, BytesView message,
+                     BytesView signature) {
+  if (!options_.stages) return;
+  types::Hash key = cache_key(domain, signer, message, signature);
+  remember(key, true);
+  stats_.primed.fetch_add(1, kRelaxed);
+  // Prime the shared memo too: the signature is valid by construction, so
+  // no party in the cluster ever re-verifies it.
+  if (intern_ != nullptr) intern_->prime_verdict(key);
+}
+
 Bytes Verifier::sign_auth(crypto::PartyIndex signer, BytesView message) {
   Bytes sig = provider_->sign(signer, message);
-  if (options_.cache) {
-    types::Hash key = cache_key(Domain::kAuth, signer, message, sig);
-    remember(key, true);
-    stats_.primed.fetch_add(1, kRelaxed);
-    // Sign-and-prime the shared memo too: our signature is valid by
-    // construction, so no party in the cluster ever re-verifies it.
-    if (intern_ != nullptr) intern_->prime_verdict(key);
-  }
+  prime(Domain::kAuth, signer, message, sig);
   return sig;
 }
 
 Bytes Verifier::threshold_sign_share(crypto::Scheme scheme, crypto::PartyIndex signer,
                                      BytesView message) {
   Bytes share = provider_->threshold_sign_share(scheme, signer, message);
-  if (options_.cache) {
-    types::Hash key = cache_key(share_domain(scheme), signer, message, share);
-    remember(key, true);
-    stats_.primed.fetch_add(1, kRelaxed);
-    if (intern_ != nullptr) intern_->prime_verdict(key);
-  }
+  prime(share_domain(scheme), signer, message, share);
   return share;
 }
 
 Bytes Verifier::beacon_sign_share(crypto::PartyIndex signer, BytesView message) {
   Bytes share = provider_->beacon_sign_share(signer, message);
-  if (options_.cache) {
-    types::Hash key = cache_key(Domain::kBeaconShare, signer, message, share);
-    remember(key, true);
-    stats_.primed.fetch_add(1, kRelaxed);
-    if (intern_ != nullptr) intern_->prime_verdict(key);
-  }
+  prime(Domain::kBeaconShare, signer, message, share);
   return share;
 }
 
@@ -160,7 +154,7 @@ std::vector<uint8_t> Verifier::verify_shares_batch(
   }
   if (misses.empty()) return verdicts;
 
-  if (options_.batch && misses.size() > 1) {
+  if (options_.stages && misses.size() > 1) {
     std::vector<std::pair<crypto::PartyIndex, Bytes>> pending;
     pending.reserve(misses.size());
     for (size_t i : misses) pending.push_back(shares[i]);
@@ -266,7 +260,7 @@ std::vector<uint8_t> Verifier::run_share_batch(
 Bytes Verifier::threshold_combine(
     crypto::Scheme scheme, BytesView message,
     std::span<const std::pair<crypto::PartyIndex, Bytes>> shares) {
-  if (!options_.cache) {
+  if (!options_.stages) {
     // Without memoization the provider's own verify-and-combine is exactly
     // the pre-pipeline behaviour (the shared memo keys off the per-party
     // cache keys, so it is not consulted either; the real checks inside the
@@ -283,22 +277,17 @@ Bytes Verifier::threshold_combine(
   }
   stats_.combine_share_checks_skipped.fetch_add(valid.size(), kRelaxed);
   Bytes agg = provider_->threshold_combine_preverified(scheme, message, valid);
-  if (!agg.empty()) {
-    // Prime the aggregate's verdict: our own broadcast of it echoes back.
-    // Threshold signatures are unique, so every party combining the same
-    // quorum produces these bytes — priming the shared memo saves the
-    // aggregate check for the whole cluster.
-    types::Hash key = cache_key(agg_domain(scheme), 0xffffffffu, message, agg);
-    remember(key, true);
-    stats_.primed.fetch_add(1, kRelaxed);
-    if (intern_ != nullptr) intern_->prime_verdict(key);
-  }
+  // Prime the aggregate's verdict: our own broadcast of it echoes back.
+  // Threshold signatures are unique, so every party combining the same
+  // quorum produces these bytes — priming the shared memo saves the
+  // aggregate check for the whole cluster.
+  if (!agg.empty()) prime(agg_domain(scheme), 0xffffffffu, message, agg);
   return agg;
 }
 
 Bytes Verifier::beacon_combine(
     BytesView message, std::span<const std::pair<crypto::PartyIndex, Bytes>> shares) {
-  if (!options_.cache) {
+  if (!options_.stages) {
     stats_.provider_verifications.fetch_add(shares.size(), kRelaxed);
     if (intern_ != nullptr) intern_->count_real(shares.size());
     return provider_->beacon_combine(message, shares);

@@ -63,9 +63,9 @@ class InternStore;
 /// apply). Lives here so crypto-layer consumers need not pull in the
 /// pipeline itself.
 struct PipelineOptions {
-  bool dedup = true;            ///< drop exact-duplicate wire artifacts
-  bool cache = true;            ///< memoize verification verdicts
-  bool batch = true;            ///< batch-verify pending shares at combine
+  /// The dedup, verdict-memo and batch-verify stages, switched together:
+  /// off reproduces the pre-pipeline verify-on-insert behaviour.
+  bool stages = true;
   size_t dedup_capacity = 8192;   ///< recent wire hashes remembered per party
   size_t cache_capacity = 16384;  ///< cached verdicts per party
 };
@@ -149,8 +149,8 @@ class Verifier {
   /// real verification / sign-time prime, so one party's work answers every
   /// other party's check. The per-party logical stats above are computed
   /// before the memo is consulted and are byte-identical with or without it.
-  /// Requires options.cache (the memo shares the per-party cache keys); the
-  /// harness only attaches it when the verdict cache stage is on.
+  /// Requires options.stages (the memo shares the per-party cache keys); the
+  /// harness only attaches it when the stages are on.
   void attach_intern(InternStore* intern) { intern_ = intern; }
 
  private:
@@ -176,6 +176,10 @@ class Verifier {
   /// Cache lookup; nullopt on miss (or cache disabled).
   std::optional<bool> lookup(const types::Hash& key);
   void remember(const types::Hash& key, bool verdict);
+
+  /// Record a verdict of `true` for a signature this party just produced
+  /// (or combined), in the per-party cache and the shared memo.
+  void prime(Domain domain, crypto::PartyIndex signer, BytesView message, BytesView signature);
 
   /// Memoize `check()` under (domain, signer, message, signature).
   template <typename Check>

@@ -1,19 +1,21 @@
 #include "support/bytes.hpp"
 
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 
 namespace icc {
 
 namespace {
 constexpr char kHexDigits[] = "0123456789abcdef";
+}  // namespace
 
-int hex_val(char c) {
+int hex_digit(char c) {
   if (c >= '0' && c <= '9') return c - '0';
   if (c >= 'a' && c <= 'f') return c - 'a' + 10;
   if (c >= 'A' && c <= 'F') return c - 'A' + 10;
   return -1;
 }
-}  // namespace
 
 std::string to_hex(BytesView data) {
   std::string out;
@@ -30,12 +32,27 @@ Bytes from_hex(std::string_view hex) {
   Bytes out;
   out.reserve(hex.size() / 2);
   for (size_t i = 0; i < hex.size(); i += 2) {
-    int hi = hex_val(hex[i]);
-    int lo = hex_val(hex[i + 1]);
+    int hi = hex_digit(hex[i]);
+    int lo = hex_digit(hex[i + 1]);
     if (hi < 0 || lo < 0) throw std::invalid_argument("from_hex: bad digit");
     out.push_back(static_cast<uint8_t>((hi << 4) | lo));
   }
   return out;
+}
+
+bool read_file(const std::string& path, std::string* out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  *out = std::move(buf).str();
+  return true;
+}
+
+bool write_file(const std::string& path, std::string_view text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  return static_cast<bool>(out);
 }
 
 }  // namespace icc

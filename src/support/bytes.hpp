@@ -23,6 +23,13 @@ std::string to_hex(BytesView data);
 /// Decode a hex string; throws std::invalid_argument on malformed input.
 Bytes from_hex(std::string_view hex);
 
+/// Value of one hex digit (either case); -1 when `c` is not one.
+int hex_digit(char c);
+
+/// Whole-file I/O for exporters and the offline tools; false on I/O error.
+bool read_file(const std::string& path, std::string* out);
+bool write_file(const std::string& path, std::string_view text);
+
 /// Append `src` to `dst`.
 inline void append(Bytes& dst, BytesView src) {
   dst.insert(dst.end(), src.begin(), src.end());

@@ -23,6 +23,11 @@ Block make_block(types::Round round, types::PartyIndex proposer) {
   return b;
 }
 
+/// Stages 1+2 on a caller-owned wire buffer.
+types::SharedMessage decode(IngressPipeline& p, uint32_t from, const Bytes& wire) {
+  return p.decode_shared(from, std::make_shared<const Bytes>(wire));
+}
+
 struct PipelineFixture : ::testing::Test {
   std::unique_ptr<crypto::CryptoProvider> crypto_ =
       crypto::make_fast_provider(4, 1, 42);
@@ -41,8 +46,8 @@ TEST_F(PipelineFixture, DuplicateFloodAbsorbedBeforeCrypto) {
                                     crypto_->threshold_sign_share(crypto::Scheme::kNotary, 2, msg)};
   Bytes wire = types::serialize_message(Message{share});
 
-  auto first = pipeline_.decode(1, wire);
-  ASSERT_TRUE(first.has_value());
+  auto first = decode(pipeline_, 1, wire);
+  ASSERT_NE(first, nullptr);
   EXPECT_TRUE(pipeline_.verify_notarization_share(
       std::get<types::NotarizationShareMsg>(*first)));
   const uint64_t crypto_calls = verifier_.stats().provider_verifications;
@@ -50,8 +55,8 @@ TEST_F(PipelineFixture, DuplicateFloodAbsorbedBeforeCrypto) {
 
   // Flood: 10 more copies from each of parties 1 and 3.
   for (int i = 0; i < 10; ++i) {
-    EXPECT_FALSE(pipeline_.decode(1, wire).has_value());
-    EXPECT_FALSE(pipeline_.decode(3, wire).has_value());
+    EXPECT_EQ(decode(pipeline_, 1, wire), nullptr);
+    EXPECT_EQ(decode(pipeline_, 3, wire), nullptr);
   }
   EXPECT_EQ(pipeline_.stats().duplicates, 20u);
   EXPECT_EQ(pipeline_.stats().duplicates_from[1], 10u);
@@ -70,8 +75,8 @@ TEST_F(PipelineFixture, SenderScopedMessagesBypassDedup) {
   advert.artifact_id = make_block(1, 0).hash();
   advert.size_hint = 100;
   Bytes wire = types::serialize_message(Message{advert});
-  EXPECT_TRUE(pipeline_.decode(1, wire).has_value());
-  EXPECT_TRUE(pipeline_.decode(2, wire).has_value());
+  EXPECT_NE(decode(pipeline_, 1, wire), nullptr);
+  EXPECT_NE(decode(pipeline_, 2, wire), nullptr);
   EXPECT_EQ(pipeline_.stats().dedup_exempt, 2u);
   EXPECT_EQ(pipeline_.stats().duplicates, 0u);
 }
@@ -83,7 +88,7 @@ TEST_F(PipelineFixture, DedupCapacityIsBounded) {
   for (uint32_t i = 0; i < 100; ++i) {
     types::NotarizationShareMsg s{1 + i, 0, make_block(1 + i, 0).hash(), 0,
                                   str_bytes("s")};
-    p.decode(0, types::serialize_message(Message{s}));
+    decode(p, 0, types::serialize_message(Message{s}));
   }
   EXPECT_LE(p.dedup_entries(), 8u);
 }
@@ -229,9 +234,9 @@ class DeterminismTest
 
 TEST_P(DeterminismTest, CommitSequenceIdenticalPipelineOnVsOff) {
   auto [protocol, adversary] = GetParam();
-  PipelineOptions on;  // defaults: dedup + cache + batch
+  PipelineOptions on;  // default: dedup + cache + batch
   PipelineOptions off;
-  off.dedup = off.cache = off.batch = false;
+  off.stages = false;
   EXPECT_EQ(committed_sequences(protocol, adversary, on),
             committed_sequences(protocol, adversary, off));
 }
@@ -242,14 +247,14 @@ TEST_P(DeterminismTest, CommitSequenceIdenticalPipelineOnVsOff) {
 // on and off, under every adversary.
 TEST_P(DeterminismTest, CommitSequenceIdenticalAcrossThreadCounts) {
   auto [protocol, adversary] = GetParam();
-  PipelineOptions on;  // defaults: dedup + cache + batch
+  PipelineOptions on;  // default: dedup + cache + batch
   auto baseline = committed_sequences(protocol, adversary, on, 1);
   for (size_t threads : {2u, 8u}) {
     EXPECT_EQ(committed_sequences(protocol, adversary, on, threads), baseline)
         << threads << " threads";
   }
   PipelineOptions off;
-  off.dedup = off.cache = off.batch = false;
+  off.stages = false;
   EXPECT_EQ(committed_sequences(protocol, adversary, off, 8),
             committed_sequences(protocol, adversary, off, 1));
 }

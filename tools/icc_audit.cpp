@@ -11,20 +11,12 @@
 // invariant-to-lemma mapping.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "obs/audit.hpp"
+#include "support/bytes.hpp"
 
 namespace {
-
-bool write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << text;
-  return static_cast<bool>(out);
-}
 
 int usage() {
   std::fprintf(stderr,
@@ -58,22 +50,19 @@ int main(int argc, char** argv) {
   }
   if (journal_path.empty()) return usage();
 
-  std::ifstream in(journal_path, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!icc::read_file(journal_path, &text)) {
     std::fprintf(stderr, "icc_audit: cannot open %s\n", journal_path.c_str());
     return 2;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-
-  icc::obs::AuditReport report = icc::obs::audit_jsonl(buf.str());
+  icc::obs::AuditReport report = icc::obs::audit_jsonl(text);
 
   if (!quiet) std::printf("%s\n", report.to_json().c_str());
-  if (!report_path.empty() && !write_file(report_path, report.to_json() + "\n")) {
+  if (!report_path.empty() && !icc::write_file(report_path, report.to_json() + "\n")) {
     std::fprintf(stderr, "icc_audit: cannot write %s\n", report_path.c_str());
     return 2;
   }
-  if (!csv_path.empty() && !write_file(csv_path, report.rounds_csv())) {
+  if (!csv_path.empty() && !icc::write_file(csv_path, report.rounds_csv())) {
     std::fprintf(stderr, "icc_audit: cannot write %s\n", csv_path.c_str());
     return 2;
   }

@@ -23,20 +23,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "obs/causal.hpp"
+#include "support/bytes.hpp"
 
 namespace {
-
-bool write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << text;
-  return static_cast<bool>(out);
-}
 
 int usage() {
   std::fprintf(stderr,
@@ -79,19 +71,16 @@ int main(int argc, char** argv) {
   }
   if (journal_path.empty()) return usage();
 
-  std::ifstream in(journal_path, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!icc::read_file(journal_path, &text)) {
     std::fprintf(stderr, "icc_critpath: cannot open %s\n", journal_path.c_str());
     return 2;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-
-  icc::obs::CausalAnalyzer analyzer(icc::obs::Journal::parse_jsonl(buf.str()));
+  icc::obs::CausalAnalyzer analyzer(icc::obs::Journal::parse_jsonl(text));
   const icc::obs::CritPathReport& report = analyzer.report();
 
   if (!quiet) std::printf("%s\n", report.to_json().c_str());
-  if (!report_path.empty() && !write_file(report_path, report.to_json() + "\n")) {
+  if (!report_path.empty() && !icc::write_file(report_path, report.to_json() + "\n")) {
     std::fprintf(stderr, "icc_critpath: cannot write %s\n", report_path.c_str());
     return 2;
   }
@@ -114,7 +103,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "icc_critpath: no complete round to render\n");
       return 1;
     }
-    if (!write_file(dot_path, analyzer.to_dot(dot_round))) {
+    if (!icc::write_file(dot_path, analyzer.to_dot(dot_round))) {
       std::fprintf(stderr, "icc_critpath: cannot write %s\n", dot_path.c_str());
       return 2;
     }

@@ -36,13 +36,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/timeseries.hpp"
+#include "support/bytes.hpp"
+#include "support/json.hpp"
 
 namespace {
 
@@ -164,15 +164,12 @@ int main(int argc, char** argv) {
   }
   if (series_path.empty()) return usage();
 
-  std::ifstream in(series_path, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!icc::read_file(series_path, &text)) {
     std::fprintf(stderr, "icc_drift: cannot open %s\n", series_path.c_str());
     return 2;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-
-  const icc::obs::TimeSeries::Parsed parsed = icc::obs::TimeSeries::parse_jsonl(buf.str());
+  const icc::obs::TimeSeries::Parsed parsed = icc::obs::TimeSeries::parse_jsonl(text);
   if (!parsed.has_meta) {
     std::fprintf(stderr, "icc_drift: %s: no icc-series/v1 meta line\n", series_path.c_str());
     return 2;
@@ -320,8 +317,9 @@ int main(int argc, char** argv) {
   for (const auto& d : dets)
     if (d.status == "fail") failed.push_back(d.name);
 
-  std::string json = "{\"schema\":\"icc-drift/v1\",\"source\":\"" + series_path +
-                     "\",\"protocol\":\"" + parsed.meta.protocol +
+  std::string json = "{\"schema\":\"icc-drift/v1\",\"source\":\"" +
+                     icc::json::escape(series_path) + "\",\"protocol\":\"" +
+                     icc::json::escape(parsed.meta.protocol) +
                      "\",\"seed\":" + std::to_string(parsed.meta.seed) +
                      ",\"windows\":" + std::to_string(windows.size()) +
                      ",\"wall_samples\":" + std::to_string(parsed.wall.size()) +
