@@ -8,7 +8,9 @@
 namespace icc::crypto {
 namespace {
 
-enum class Kind { kReal, kFast };
+// 64-bit so that ProviderCase has no padding: gtest prints the parameter's raw
+// bytes into the test names, and padding bytes are indeterminate.
+enum class Kind : uint64_t { kReal, kFast };
 
 struct ProviderCase {
   Kind kind;
