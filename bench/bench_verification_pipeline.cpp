@@ -1,15 +1,15 @@
 // Staged ingress pipeline: real-crypto cost of a committed block with the
-// dedup + memoization + batch-verification stages on vs off (DESIGN.md,
-// "Staged ingress pipeline").
+// dedup + memoization stages on vs off (DESIGN.md, "Staged ingress
+// pipeline").
 //
 // Signature verification dominates BFT CPU budgets; in a committee of n
 // every artifact is verified once per receiving party, and the echo-heavy
 // dissemination of ICC means the same bytes arrive many times. The pipeline
 // attacks this three ways: exact duplicates die on a hash before any crypto,
 // repeated verifications of the same artifact are answered from a bounded
-// verdict cache (own signatures are primed at signing time), and the
-// remaining share checks are batched into one Ed25519 multi-exponentiation
-// at combine time. This bench measures the end-to-end effect under the real
+// verdict cache (own signatures are primed at signing time), and combines
+// trust the pre-verified pool instead of checking every share a second
+// time. This bench measures the end-to-end effect under the real
 // Ed25519/DVRF provider at n = 16.
 #include <chrono>
 #include <cstdio>
@@ -21,9 +21,8 @@
 namespace {
 using namespace icc;
 
-// --threads N (0 = ICC_THREADS/default). Batch share verifications are
-// sliced across the pool; every count below comes from virtual time, so
-// only the wall-clock rows may move with N.
+// --threads N (0 = ICC_THREADS/default). Every count below comes from
+// virtual time, so only the wall-clock rows may move with N.
 size_t g_threads = 0;
 // --intern on|off (default on): cluster-shared artifact interning
 // (DESIGN.md §7). Off models per-replica CPU honestly; on shows the
@@ -112,12 +111,6 @@ int main(int argc, char** argv) {
   std::printf("%-34s | %12llu | %12llu\n", "verdicts primed at sign time",
               (unsigned long long)off.verifier.primed,
               (unsigned long long)on.verifier.primed);
-  std::printf("%-34s | %12llu | %12llu\n", "combine share re-checks skipped",
-              (unsigned long long)off.verifier.combine_share_checks_skipped,
-              (unsigned long long)on.verifier.combine_share_checks_skipped);
-  std::printf("%-34s | %12llu | %12llu\n", "batch verify calls",
-              (unsigned long long)off.verifier.batch_calls,
-              (unsigned long long)on.verifier.batch_calls);
   std::printf("%-34s | %12llu | %12llu\n", "duplicates dropped pre-crypto",
               (unsigned long long)off.ingress.duplicates,
               (unsigned long long)on.ingress.duplicates);

@@ -9,8 +9,8 @@
 #
 #   SANITIZER=tsan            Debug build with ThreadSanitizer over the
 #                             concurrency-bearing suites (support executor /
-#                             defer queue, parallel sim engine, pipeline
-#                             verifier slicing, shared intern store, obs
+#                             defer queue, parallel sim engine, sharded
+#                             verifier cache, shared intern store, obs
 #                             journal + metrics, the wall-clock runtime
 #                             profiler and the windowed time series), run
 #                             with ICC_THREADS=8 so every guarded test

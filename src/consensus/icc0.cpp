@@ -33,15 +33,12 @@ Icc0Party::Icc0Party(PartyIndex self, const PartyConfig& config)
   probe_.attach(config.obs, self, config.party_honesty);
   journal_.attach(config.obs, self);
   pipeline_.attach_obs(config.obs);
-  verifier_.attach_obs(config.obs);
-  verifier_.attach_executor(config.executor);
   verifier_.attach_runtime(config.obs != nullptr ? config.obs->runtime() : nullptr);
-  // The shared verdict memo keys off the per-party cache keys; without the
-  // pipeline stages it would never be consulted on the share paths, so the
-  // store is only wired through the Verifier when they are on. The decode
-  // side has no such dependency.
+  // With the stages off the Verifier never consults the shared verdict memo
+  // (it keys off the per-party cache keys) but still counts real checks in
+  // the store.
   pipeline_.attach_intern(config.intern);
-  if (config.pipeline.stages) verifier_.attach_intern(config.intern);
+  verifier_.attach_intern(config.intern);
 }
 
 void Icc0Party::start(sim::Context& ctx) {
@@ -167,7 +164,9 @@ bool Icc0Party::ingest_notarization_share(const NotarizationShareMsg& msg) {
   // block are dead weight. (Identical whether the pipeline stages are on or
   // off, so on/off runs stay bit-identical.)
   if (pool_.notarization_for(msg.block_hash)) return false;
-  if (pool_.notarization_share_count(msg.block_hash) >= crypto_->quorum()) return false;
+  if (pool_.notarization_share_count(msg.round, msg.proposer, msg.block_hash) >=
+      crypto_->quorum())
+    return false;
   if (!pipeline_.verify_notarization_share(msg)) return false;
   return pool_.add_notarization_share(msg);
 }
@@ -182,7 +181,9 @@ bool Icc0Party::ingest_finalization_share(const FinalizationShareMsg& msg) {
   if (msg.signer >= crypto_->n()) return false;
   // Same satiation early-out as for notarization shares.
   if (pool_.finalization_for(msg.block_hash)) return false;
-  if (pool_.finalization_share_count(msg.block_hash) >= crypto_->quorum()) return false;
+  if (pool_.finalization_share_count(msg.round, msg.proposer, msg.block_hash) >=
+      crypto_->quorum())
+    return false;
   if (!pipeline_.verify_finalization_share(msg)) return false;
   return pool_.add_finalization_share(msg);
 }

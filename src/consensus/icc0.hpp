@@ -51,7 +51,7 @@ class Icc0Party : public sim::Process {
 
   /// Ingress-pipeline counters (decode/dedup stages).
   const pipeline::IngressPipeline& ingress() const { return pipeline_; }
-  /// Verification counters (cache hits, provider calls, batching).
+  /// Verification counters (cache hits, provider calls, primed verdicts).
   const pipeline::Verifier& verifier() const { return verifier_; }
   /// Per-round telemetry probe (null-Obs when PartyConfig::obs is unset).
   const obs::PartyProbe& probe() const { return probe_; }

@@ -66,23 +66,14 @@ class CryptoProvider {
                                      BytesView message) = 0;
   virtual bool threshold_verify_share(Scheme scheme, PartyIndex signer, BytesView message,
                                       BytesView share) const = 0;
-  /// Batch-verify k shares over the SAME message in one call. out[i] is the
-  /// verdict for shares[i]. Providers with a homomorphic check (Ed25519
-  /// random-linear-combination) try one combined equation first and fall
-  /// back to per-item verification only when it fails; the default is a
-  /// per-item loop.
-  virtual std::vector<uint8_t> threshold_verify_share_batch(
-      Scheme scheme, BytesView message,
-      std::span<const std::pair<PartyIndex, Bytes>> shares) const;
-
   /// Combine shares (signer, share-bytes) into an aggregate signature.
   /// Returns empty on failure (fewer than quorum() distinct valid signers).
   virtual Bytes threshold_combine(Scheme scheme, BytesView message,
                                   std::span<const std::pair<PartyIndex, Bytes>> shares) = 0;
   /// Like threshold_combine but the CALLER vouches that every share has
-  /// already been verified (e.g. by the ingress pipeline's memoized
-  /// verifier), so no per-share signature checks are repeated. Structural
-  /// checks (share size, distinct signers, quorum count) still apply.
+  /// already been verified (e.g. at ingress, before entering the pool), so
+  /// no per-share signature checks are repeated. Structural checks (share
+  /// size, distinct signers, quorum count) still apply.
   /// Default falls back to the verifying combine.
   virtual Bytes threshold_combine_preverified(
       Scheme scheme, BytesView message,

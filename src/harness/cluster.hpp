@@ -53,9 +53,8 @@ struct ClusterOptions {
   Round committed_history = 0;
   Round max_round = 0;
   Round prune_lag = 16;
-  /// Worker threads for the run (engine party-parallel stepping + verifier
-  /// batch slicing). 0 reads ICC_THREADS (default 1); 1 = fully sequential,
-  /// no pool. Any value yields bit-identical results (DESIGN.md §6).
+  /// Worker threads for the run (engine party-parallel stepping). 0 reads
+  /// ICC_THREADS (default 1); 1 = fully sequential, no pool. Any value yields bit-identical results (DESIGN.md §6).
   size_t threads = 0;
   Round cup_interval = 0;   ///< catch-up packages; 0 disables
   Round lag_threshold = 8;  ///< rounds behind before a party requests a CUP
@@ -67,8 +66,8 @@ struct ClusterOptions {
   /// Gossip sub-layer tuning (ICC1 only).
   gossip::GossipConfig gossip;
 
-  /// Ingress pipeline tuning (dedup / verification cache / batch verify).
-  /// Defaults enable all stages; tests and benches flip them off to measure.
+  /// Ingress pipeline tuning (dedup / verification cache).
+  /// Defaults enable the stages; tests and benches flip them off to measure.
   pipeline::PipelineOptions pipeline;
 
   /// Cluster-shared artifact interning (DESIGN.md §7): honest parties share
@@ -152,7 +151,7 @@ class Cluster {
   /// Ingress-pipeline counters summed over honest parties (decode/dedup).
   pipeline::PipelineStats pipeline_stats() const;
   /// Verification counters summed over honest parties (provider calls,
-  /// cache hits, batch calls, ...).
+  /// cache hits, primed verdicts).
   pipeline::Verifier::Stats verifier_stats() const;
   /// Cluster-shared intern store counters (parses, decode hits, real provider
   /// verifications, shared-verdict hits). Zeroes when interning is off.

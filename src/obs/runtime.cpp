@@ -24,8 +24,7 @@ namespace {
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
 const char* const kTaskNames[kTaskKinds] = {
-    "engine_batch", "parallel_region", "party_group",
-    "defer_replay", "verify_slice",    "intern_parse",
+    "engine_batch", "parallel_region", "party_group", "defer_replay", "intern_parse",
 };
 const char* const kLockNames[kLockSites] = {
     "executor_queue",

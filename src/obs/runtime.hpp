@@ -52,14 +52,13 @@ namespace icc::obs {
 
 class Tracer;
 
-/// Span kinds recorded by the instrumented subsystems. Order is the wire
-/// order of the report's per-kind arrays — append only.
+/// Span kinds recorded by the instrumented subsystems. The report keys its
+/// per-kind entries by name (task_kind_name), not by position.
 enum class TaskKind : uint8_t {
   kEngineBatch = 0,  ///< coordinating thread: one run_batch (arg0 = batch id, arg1 = events)
   kParallelRegion,   ///< coordinating thread: inside executor->parallel_for (arg0 = groups)
   kPartyGroup,       ///< worker: one owner group's events (arg0 = owner, arg1 = events)
   kDeferReplay,      ///< coordinating thread: deferred side-effect replay (arg0 = closures)
-  kVerifySlice,      ///< worker: one batch-verification slice (arg0 = shares)
   kInternParse,      ///< worker: parse of a new interned payload (arg0 = bytes)
   kCount
 };

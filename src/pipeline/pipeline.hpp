@@ -11,7 +11,7 @@
 //      SHA-256. Sender-scoped messages (adverts, pull requests, CUP
 //      requests) are exempt: their meaning depends on who sent them.
 //   3. verify — all signature checks, centralized in pipeline::Verifier
-//      (memoized + batched; see verifier.hpp);
+//      (memoized; see verifier.hpp);
 //   4. apply  — insertion into the now crypto-free types::Pool.
 //
 // This file implements stages 1-2 and the type-specific verify helpers of

@@ -6,37 +6,28 @@
 //
 //   * a bounded memoization cache keyed on H(domain ‖ signer ‖ message ‖
 //     signature). In committee-based BFT the same artifact reaches a party
-//     many times (echoes, share floods, combine-time re-checks), and
-//     signature verification dominates CPU (Li–Sonnino–Jovanovic, PAPERS.md);
-//     a cache hit replaces an Ed25519 verification with one SHA-256. Both
-//     verdicts are cached, so a replayed *invalid* artifact is also free.
-//     Keys cover the signature bytes, so equivocation (same message, a
-//     different signature) can never be conflated with a cached verdict.
+//     many times (echoes, share floods, relayed aggregates), and signature
+//     verification dominates CPU (Li–Sonnino–Jovanovic, PAPERS.md); a cache
+//     hit replaces an Ed25519 verification with one SHA-256. Both verdicts
+//     are cached, so a replayed *invalid* artifact is also free. Keys cover
+//     the signature bytes, so equivocation (same message, a different
+//     signature) can never be conflated with a cached verdict.
 //   * sign-and-prime helpers: a party's own signatures are inserted into the
-//     cache at creation time, making the self-delivery of its broadcasts and
-//     the combine-time re-check of its own shares free.
-//   * a batch API: k pending shares over one message are checked in a single
-//     provider call (Ed25519 batch equation under kReal); if the batch
-//     fails, a per-item pass identifies the bad shares. With an attached
-//     support::Executor the pending shares are additionally sliced into
-//     near-equal chunks verified concurrently on the pool, with verdicts
-//     merged back in submission order — and with *logical* stats accounting
-//     (one batch call, one histogram sample, miss-count verifications)
-//     independent of the slicing, so metrics stay identical at any thread
-//     count.
-//   * combine wrappers that pass only cache-validated shares to the
-//     provider's *_preverified combine, eliminating the second full
-//     verification of every share that the plain combine performs.
+//     cache at creation time, making the self-delivery of its broadcasts
+//     free.
+//   * combine wrappers that trust the pool: every share reaching a combine
+//     was verified once, at ingress (types::Pool's pre-verified contract),
+//     so the shares go straight to the provider's *_preverified combine
+//     without a second check or a memo lookup.
 //
 // The cache is per-party (each simulated party owns one Verifier), bounded
 // by two-generation rotation, and *sharded*: the key's first byte selects
 // one of kCacheShards shards, each with its own mutex and generation pair,
 // so concurrent pool workers never serialize on a single cache lock
-// (DESIGN.md §6). Cache mutations on the batch path happen on the calling
-// thread after the parallel join, in submission order — shard rotation (and
-// therefore eviction, hit counts, and every downstream metric) is
-// deterministic regardless of thread count. Stats are relaxed atomics
-// (commutative increments; same contract as obs/metrics.hpp).
+// (DESIGN.md §6). A party's checks run on one thread in program order, so
+// shard rotation (and therefore eviction, hit counts, and every downstream
+// metric) is deterministic regardless of thread count. Stats are relaxed
+// atomics (commutative increments; same contract as obs/metrics.hpp).
 #pragma once
 
 #include <algorithm>
@@ -47,12 +38,10 @@
 #include <span>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "crypto/provider.hpp"
 #include "crypto/sha256.hpp"
 #include "obs/obs.hpp"
-#include "support/executor.hpp"
 #include "types/block.hpp"
 
 namespace icc::pipeline {
@@ -63,8 +52,8 @@ class InternStore;
 /// apply). Lives here so crypto-layer consumers need not pull in the
 /// pipeline itself.
 struct PipelineOptions {
-  /// The dedup, verdict-memo and batch-verify stages, switched together:
-  /// off reproduces the pre-pipeline verify-on-insert behaviour.
+  /// The dedup and verdict-memo stages, switched together: off reproduces
+  /// the pre-pipeline verify-on-insert behaviour.
   bool stages = true;
   size_t dedup_capacity = 8192;   ///< recent wire hashes remembered per party
   size_t cache_capacity = 16384;  ///< cached verdicts per party
@@ -76,17 +65,11 @@ class Verifier {
     uint64_t provider_verifications = 0;  ///< checks that reached real crypto
     uint64_t cache_hits = 0;              ///< checks answered from the cache
     uint64_t primed = 0;                  ///< verdicts inserted at sign time
-    uint64_t batch_calls = 0;             ///< batch verifications issued
-    uint64_t batch_fallbacks = 0;         ///< batches that failed per-item
-    uint64_t combine_share_checks_skipped = 0;  ///< combine re-checks avoided
 
     Stats& operator+=(const Stats& o) {
       provider_verifications += o.provider_verifications;
       cache_hits += o.cache_hits;
       primed += o.primed;
-      batch_calls += o.batch_calls;
-      batch_fallbacks += o.batch_fallbacks;
-      combine_share_checks_skipped += o.combine_share_checks_skipped;
       return *this;
     }
   };
@@ -113,15 +96,10 @@ class Verifier {
                              BytesView message);
   Bytes beacon_sign_share(crypto::PartyIndex signer, BytesView message);
 
-  /// Verify k shares over one message. Returns one verdict per share. All
-  /// cache misses go to the provider as a single batch (sliced across the
-  /// attached executor's pool when profitable); a failed batch falls back to
-  /// per-item verification to identify the bad shares.
-  std::vector<uint8_t> verify_shares_batch(
-      crypto::Scheme scheme, BytesView message,
-      std::span<const std::pair<crypto::PartyIndex, Bytes>> shares);
-
-  // --- combine without the provider's second per-share verification ---
+  // --- combine ---
+  // With the stages on, `shares` must come from the pre-verified pool: they
+  // are combined without a second per-share check. With the stages off the
+  // provider's verify-and-combine runs (the pre-pipeline reference path).
   Bytes threshold_combine(crypto::Scheme scheme, BytesView message,
                           std::span<const std::pair<crypto::PartyIndex, Bytes>> shares);
   Bytes beacon_combine(BytesView message,
@@ -131,26 +109,19 @@ class Verifier {
   Stats stats() const;
   size_t cached_verdicts() const;
 
-  /// Attach telemetry: a batch-size histogram recorded per batch call.
-  void attach_obs(obs::Obs* obs);
-
-  /// Attach a worker pool; batch verifications with enough cache misses are
-  /// then sliced into pool jobs. Null (or a 1-thread pool) keeps the
-  /// single-call path. The verifier does not own the executor.
-  void attach_executor(support::Executor* executor) { executor_ = executor; }
-
   /// Attach the wall-clock profiler (obs/runtime.hpp): verdict-shard lock
-  /// waits are sampled and batch slices get wall-time spans. Observation
-  /// only — verdicts, stats and rotation are unchanged. Not owned.
+  /// waits are sampled. Observation only — verdicts, stats and rotation are
+  /// unchanged. Not owned.
   void attach_runtime(obs::RuntimeProfiler* runtime) { runtime_ = runtime; }
 
-  /// Attach the cluster-shared intern store (DESIGN.md §7). Its verdict memo
-  /// is consulted *after* a per-party cache miss and filled alongside every
-  /// real verification / sign-time prime, so one party's work answers every
-  /// other party's check. The per-party logical stats above are computed
-  /// before the memo is consulted and are byte-identical with or without it.
-  /// Requires options.stages (the memo shares the per-party cache keys); the
-  /// harness only attaches it when the stages are on.
+  /// Attach the cluster-shared intern store (DESIGN.md §7). With the stages
+  /// on, its verdict memo is consulted *after* a per-party cache miss and
+  /// filled alongside every real verification / sign-time prime, so one
+  /// party's work answers every other party's check. With the stages off
+  /// the memo is never consulted (it shares the per-party cache keys); the
+  /// store then only counts the real checks. The per-party logical stats
+  /// above are computed before the memo is consulted and are byte-identical
+  /// with or without it.
   void attach_intern(InternStore* intern) { intern_ = intern; }
 
  private:
@@ -181,36 +152,24 @@ class Verifier {
   /// (or combined), in the per-party cache and the shared memo.
   void prime(Domain domain, crypto::PartyIndex signer, BytesView message, BytesView signature);
 
+  /// Account `checks` real verifications made without the memo (stages
+  /// off): in the per-party stats and, when attached, the intern store.
+  void count_unmemoized(size_t checks);
+
   /// Memoize `check()` under (domain, signer, message, signature).
   template <typename Check>
   bool memoized(Domain domain, crypto::PartyIndex signer, BytesView message,
                 BytesView signature, Check&& check);
 
-  /// Minimum misses per pool slice: below this the slicing overhead (and
-  /// the lost batch-equation amortization) outweighs the parallelism.
-  static constexpr size_t kMinSliceShares = 8;
-
-  /// Run the provider's (possibly executor-sliced) batch equation over
-  /// `pending`; one verdict per entry. Wall-clock only — callers account
-  /// logical stats themselves.
-  std::vector<uint8_t> run_share_batch(
-      crypto::Scheme scheme, BytesView message,
-      std::span<const std::pair<crypto::PartyIndex, Bytes>> pending);
-
   crypto::CryptoProvider* provider_;
   PipelineOptions options_;
-  support::Executor* executor_ = nullptr;
   InternStore* intern_ = nullptr;
   obs::RuntimeProfiler* runtime_ = nullptr;
-  obs::Histogram* batch_size_hist_ = nullptr;
 
   struct StatsCells {
     std::atomic<uint64_t> provider_verifications{0};
     std::atomic<uint64_t> cache_hits{0};
     std::atomic<uint64_t> primed{0};
-    std::atomic<uint64_t> batch_calls{0};
-    std::atomic<uint64_t> batch_fallbacks{0};
-    std::atomic<uint64_t> combine_share_checks_skipped{0};
   };
   StatsCells stats_;
 

@@ -62,10 +62,7 @@ bool Engine::step() {
 }
 
 void Engine::run_until(Time deadline) {
-  if (executor_ != nullptr && executor_->threads() > 1) {
-    run_until_parallel(deadline);
-    return;
-  }
+  const bool parallel = executor_ != nullptr && executor_->threads() > 1;
   while (!queue_.empty()) {
     // Peek past cancelled events without running anything.
     Event ev = queue_.top();
@@ -75,26 +72,15 @@ void Engine::run_until(Time deadline) {
     }
     if (ev.at > deadline) break;
     // A boundary at exactly ev.at closes before the event runs: events at
-    // time B belong to the window starting at B.
+    // time B belong to the window starting at B. Between events (or
+    // batches, whose deferred effects are already replayed) is a quiescent
+    // point, so the hook observes canonical state.
     fire_ticks(ev.at);
-    step();
-  }
-  if (deadline != kTimeMax) fire_ticks(deadline);
-  if (now_ < deadline && deadline != kTimeMax) now_ = deadline;
-}
-
-void Engine::run_until_parallel(Time deadline) {
-  while (!queue_.empty()) {
-    Event ev = queue_.top();
-    if (!callbacks_.count(ev.id)) {
-      queue_.pop();
-      continue;
+    if (parallel) {
+      run_batch(ev.at);
+    } else {
+      step();
     }
-    if (ev.at > deadline) break;
-    // Between batches is a quiescent point: deferred effects of the previous
-    // batch are already replayed, so the hook observes canonical state.
-    fire_ticks(ev.at);
-    run_batch(ev.at);
   }
   if (deadline != kTimeMax) fire_ticks(deadline);
   if (now_ < deadline && deadline != kTimeMax) now_ = deadline;

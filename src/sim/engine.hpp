@@ -174,7 +174,7 @@ class Engine {
   }
 
   /// Fire every installed tick boundary <= `upto` that has not fired yet.
-  /// Called from the run loops only (coordinating thread, between events).
+  /// Called from run_until only (coordinating thread, between events).
   void fire_ticks(Time upto) {
     if (tick_interval_ <= 0) return;
     while (next_tick_ <= upto) {
@@ -184,7 +184,6 @@ class Engine {
     }
   }
 
-  void run_until_parallel(Time deadline);
   /// Execute every live event at time `t` (they are already the queue
   /// minimum) in owner-parallel segments, then replay deferred effects.
   void run_batch(Time t);

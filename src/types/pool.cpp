@@ -26,9 +26,17 @@ bool Pool::add_proposal(const ProposalMsg& msg, std::shared_ptr<const Block> blo
   return true;
 }
 
+const Pool::SignerShares* Pool::find_shares(const ShareIndex& index, Round round,
+                                            PartyIndex proposer, const Hash& h) {
+  auto by_round = index.find(round);
+  if (by_round == index.end()) return nullptr;
+  auto it = by_round->second.find(ShareKey{proposer, h});
+  return it == by_round->second.end() ? nullptr : &it->second;
+}
+
 bool Pool::add_notarization_share(const NotarizationShareMsg& msg) {
   if (msg.signer >= n_) return false;
-  auto& set = notar_shares_[msg.block_hash];
+  auto& set = notar_shares_[msg.round][ShareKey{msg.proposer, msg.block_hash}];
   return set.emplace(msg.signer, msg.share).second;
 }
 
@@ -41,7 +49,7 @@ bool Pool::add_notarization(const NotarizationMsg& msg) {
 
 bool Pool::add_finalization_share(const FinalizationShareMsg& msg) {
   if (msg.signer >= n_) return false;
-  auto& set = final_shares_[msg.block_hash];
+  auto& set = final_shares_[msg.round][ShareKey{msg.proposer, msg.block_hash}];
   return set.emplace(msg.signer, msg.share).second;
 }
 
@@ -101,22 +109,27 @@ std::vector<Hash> Pool::notarized_blocks_at(Round round) const {
 std::optional<Hash> Pool::combinable_notarization_at(Round round) const {
   auto it = blocks_by_round_.find(round);
   if (it == blocks_by_round_.end()) return std::nullopt;
+  auto shares = notar_shares_.find(round);
+  if (shares == notar_shares_.end()) return std::nullopt;
   for (const Hash& h : it->second) {
     if (notarizations_.count(h)) continue;
-    auto sh = notar_shares_.find(h);
-    if (sh == notar_shares_.end() || sh->second.size() < quorum_) continue;
+    auto sh = shares->second.find(ShareKey{block(h)->proposer, h});
+    if (sh == shares->second.end() || sh->second.size() < quorum_) continue;
     if (is_valid(h)) return h;
   }
   return std::nullopt;
 }
 
 std::optional<Hash> Pool::combinable_finalization_above(Round above_round) const {
-  for (const auto& [h, shares] : final_shares_) {
-    if (shares.size() < quorum_) continue;
-    if (finalizations_.count(h)) continue;
-    const Block* b = block(h);
-    if (!b || b->round <= above_round) continue;
-    if (is_valid(h)) return h;
+  for (auto it = final_shares_.upper_bound(above_round); it != final_shares_.end(); ++it) {
+    for (const auto& [key, shares] : it->second) {
+      if (shares.size() < quorum_) continue;
+      if (finalizations_.count(key.hash)) continue;
+      // Only shares over the block's own canonical message count.
+      const Block* b = block(key.hash);
+      if (!b || b->round != it->first || b->proposer != key.proposer) continue;
+      if (is_valid(key.hash)) return key.hash;
+    }
   }
   return std::nullopt;
 }
@@ -131,29 +144,25 @@ std::optional<Hash> Pool::finalized_above(Round above_round) const {
 }
 
 std::vector<std::pair<PartyIndex, Bytes>> Pool::notarization_shares(const Block& b) const {
-  std::vector<std::pair<PartyIndex, Bytes>> out;
-  auto it = notar_shares_.find(b.hash());
-  if (it == notar_shares_.end()) return out;
-  out.assign(it->second.begin(), it->second.end());
-  return out;
+  const SignerShares* set = find_shares(notar_shares_, b.round, b.proposer, b.hash());
+  if (set == nullptr) return {};
+  return {set->begin(), set->end()};
 }
 
 std::vector<std::pair<PartyIndex, Bytes>> Pool::finalization_shares(const Block& b) const {
-  std::vector<std::pair<PartyIndex, Bytes>> out;
-  auto it = final_shares_.find(b.hash());
-  if (it == final_shares_.end()) return out;
-  out.assign(it->second.begin(), it->second.end());
-  return out;
+  const SignerShares* set = find_shares(final_shares_, b.round, b.proposer, b.hash());
+  if (set == nullptr) return {};
+  return {set->begin(), set->end()};
 }
 
-size_t Pool::notarization_share_count(const Hash& h) const {
-  auto it = notar_shares_.find(h);
-  return it == notar_shares_.end() ? 0 : it->second.size();
+size_t Pool::notarization_share_count(Round round, PartyIndex proposer, const Hash& h) const {
+  const SignerShares* set = find_shares(notar_shares_, round, proposer, h);
+  return set == nullptr ? 0 : set->size();
 }
 
-size_t Pool::finalization_share_count(const Hash& h) const {
-  auto it = final_shares_.find(h);
-  return it == final_shares_.end() ? 0 : it->second.size();
+size_t Pool::finalization_share_count(Round round, PartyIndex proposer, const Hash& h) const {
+  const SignerShares* set = find_shares(final_shares_, round, proposer, h);
+  return set == nullptr ? 0 : set->size();
 }
 
 const NotarizationMsg* Pool::notarization_for(const Hash& h) const {
@@ -210,8 +219,6 @@ void Pool::prune_below(Round round) {
       blocks_.erase(h);
       authentic_.erase(h);
       authenticators_.erase(h);
-      notar_shares_.erase(h);
-      final_shares_.erase(h);
       // The validity verdict must go with the block: a stale entry would
       // make a replayed copy of the pruned block look valid even though its
       // ancestry is no longer checkable.
@@ -219,12 +226,14 @@ void Pool::prune_below(Round round) {
     }
     it = blocks_by_round_.erase(it);
   }
-  // Aggregates go with their rounds. Their removal is driven by the by-round
-  // indices, not blocks_by_round_: an aggregate can be added without its
-  // block ever arriving, and a per-block-hash erase would strand such
-  // entries forever (the pool lives for millions of rounds in soak runs).
-  // No surviving block's validity consults a pruned round's notarization —
-  // is_valid needs the parent *block* too, and that is already gone.
+  // Shares and aggregates go with their own rounds, not blocks_by_round_:
+  // either can be added without its block ever arriving, and a
+  // per-block-hash erase would strand such entries forever (the pool lives
+  // for millions of rounds in soak runs). No surviving block's validity
+  // consults a pruned round's notarization — is_valid needs the parent
+  // *block* too, and that is already gone.
+  notar_shares_.erase(notar_shares_.begin(), notar_shares_.lower_bound(round));
+  final_shares_.erase(final_shares_.begin(), final_shares_.lower_bound(round));
   for (auto it = notarized_by_round_.begin();
        it != notarized_by_round_.end() && it->first < round;) {
     for (const Hash& h : it->second) notarizations_.erase(h);

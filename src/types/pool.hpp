@@ -74,14 +74,18 @@ class Pool {
   /// A finalized block at round > above_round, if any.
   std::optional<Hash> finalized_above(Round above_round) const;
 
-  /// Notarization / finalization shares for a block (canonical message only).
+  /// Notarization / finalization shares over the block's canonical message
+  /// (round, proposer, hash). Every returned share passed verification
+  /// against exactly that message, so it can be combined without a second
+  /// check.
   std::vector<std::pair<PartyIndex, Bytes>> notarization_shares(const Block& b) const;
   std::vector<std::pair<PartyIndex, Bytes>> finalization_shares(const Block& b) const;
 
-  /// Distinct-signer share counts, for callers deciding whether one more
-  /// share is even useful (a full quorum makes further shares dead weight).
-  size_t notarization_share_count(const Hash& h) const;
-  size_t finalization_share_count(const Hash& h) const;
+  /// Distinct-signer counts of the shares over the message (round,
+  /// proposer, h), for callers deciding whether one more share is even
+  /// useful (a full quorum makes further shares dead weight).
+  size_t notarization_share_count(Round round, PartyIndex proposer, const Hash& h) const;
+  size_t finalization_share_count(Round round, PartyIndex proposer, const Hash& h) const;
 
   const NotarizationMsg* notarization_for(const Hash& h) const;
   const FinalizationMsg* finalization_for(const Hash& h) const;
@@ -95,6 +99,9 @@ class Pool {
   std::vector<const Block*> chain_to(const Hash& h, Round above_round = 0) const;
 
   /// Drop blocks, shares and aggregates for rounds < round (checkpointing).
+  /// Shares and aggregates go by their own round, whether or not their
+  /// block ever arrived (an equivocator's second block, a pulled block that
+  /// never came, a Byzantine signer's made-up hash).
   /// Nothing below the cutoff is consulted again: is_valid needs the parent
   /// block, which is pruned with its round, so retaining the parent's
   /// notarization could never rescue a verdict (survivors keep their cached
@@ -127,10 +134,23 @@ class Pool {
   std::unordered_set<Hash, HashHasher> authentic_;
   std::unordered_map<Hash, Bytes, HashHasher> authenticators_;
 
-  // Shares keyed by block hash; the ingress pipeline only admits shares
-  // matching the block's canonical signed message.
-  std::unordered_map<Hash, std::map<PartyIndex, Bytes>, HashHasher> notar_shares_;
-  std::unordered_map<Hash, std::map<PartyIndex, Bytes>, HashHasher> final_shares_;
+  // Shares grouped by the message they sign — (round, proposer, block
+  // hash) — ordered by round. The ingress pipeline verifies each share
+  // against the message built from its own fields, so a share filed under a
+  // block's (round, proposer, hash) is valid for that block's canonical
+  // message; one signed over any other triple is never returned for it.
+  struct ShareKey {
+    PartyIndex proposer;
+    Hash hash;
+    auto operator<=>(const ShareKey&) const = default;
+  };
+  using SignerShares = std::map<PartyIndex, Bytes>;
+  using ShareIndex = std::map<Round, std::map<ShareKey, SignerShares>>;
+  ShareIndex notar_shares_;
+  ShareIndex final_shares_;
+
+  static const SignerShares* find_shares(const ShareIndex& index, Round round,
+                                         PartyIndex proposer, const Hash& h);
 
   std::unordered_map<Hash, NotarizationMsg, HashHasher> notarizations_;
   std::unordered_map<Hash, FinalizationMsg, HashHasher> finalizations_;

@@ -212,8 +212,6 @@ void expect_equal(const RunResult& a, const RunResult& b, const std::string& wha
   EXPECT_EQ(a.vstats.provider_verifications, b.vstats.provider_verifications) << what;
   EXPECT_EQ(a.vstats.cache_hits, b.vstats.cache_hits) << what;
   EXPECT_EQ(a.vstats.primed, b.vstats.primed) << what;
-  EXPECT_EQ(a.vstats.batch_calls, b.vstats.batch_calls) << what;
-  EXPECT_EQ(a.vstats.batch_fallbacks, b.vstats.batch_fallbacks) << what;
   EXPECT_EQ(a.pstats.decoded, b.pstats.decoded) << what;
   EXPECT_EQ(a.pstats.duplicates, b.pstats.duplicates) << what;
   EXPECT_EQ(a.pstats.malformed, b.pstats.malformed) << what;

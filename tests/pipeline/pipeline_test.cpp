@@ -1,7 +1,8 @@
 // Tests of the staged ingress pipeline: dedup drops duplicate floods before
 // any crypto, the verification cache memoizes without conflating distinct
-// signatures, batch verification survives corrupted shares, and the whole
-// pipeline is behaviour-neutral (bit-identical commit sequences on/off).
+// signatures, a corrupted share never reaches the pool that combines trust,
+// and the whole pipeline is behaviour-neutral (bit-identical commit
+// sequences on/off).
 #include "pipeline/pipeline.hpp"
 
 #include <gtest/gtest.h>
@@ -144,44 +145,122 @@ TEST_F(PipelineFixture, CacheStaysBounded) {
   EXPECT_LE(v.cached_verdicts(), small.cache_capacity);
 }
 
-/// Batch verification against real Ed25519: the batch equation fails with
-/// one corrupted share and the per-item fallback must accept exactly the
-/// good k-1 while pinpointing the bad one.
-TEST(PipelineBatchTest, BatchWithOneCorruptedShareAcceptsTheRest) {
-  auto crypto = crypto::make_real_provider(4, 1, 7);
-  PipelineOptions options;
-  Verifier verifier(*crypto, options);
+// --- combine trusts the pre-verified pool ---
+//
+// Every share is verified once, at ingress; the pool holds only shares that
+// passed, and the combine hands them to the provider without a second
+// check. Driven end to end through one real-crypto Icc0Party.
 
-  Block b = make_block(1, 0);
-  Bytes msg = types::notarization_message(1, 0, b.hash());
-  std::vector<std::pair<crypto::PartyIndex, Bytes>> shares;
-  for (crypto::PartyIndex i = 0; i < 3; ++i)
-    shares.emplace_back(i, crypto->threshold_sign_share(crypto::Scheme::kNotary, i, msg));
-  shares[1].second[0] ^= 1;  // corrupt the middle share
+/// A peer that never speaks on its own; the test injects its messages.
+class SilentPeer : public sim::Process {
+ public:
+  void start(sim::Context&) override {}
+  void receive(sim::Context&, sim::PartyIndex, BytesView) override {}
+};
 
-  auto verdicts = verifier.verify_shares_batch(crypto::Scheme::kNotary, msg, shares);
-  ASSERT_EQ(verdicts.size(), 3u);
-  EXPECT_EQ(verdicts[0], 1);
-  EXPECT_EQ(verdicts[1], 0);
-  EXPECT_EQ(verdicts[2], 1);
-  EXPECT_EQ(verifier.stats().batch_calls, 1u);
-  EXPECT_EQ(verifier.stats().batch_fallbacks, 1u);
+struct RealPartyFixture {
+  static constexpr size_t kN = 4, kT = 1;
+  std::unique_ptr<crypto::CryptoProvider> crypto;
+  sim::Simulation sim;
+  consensus::Icc0Party* subject = nullptr;  // party 0, the only real party
+  types::PartyIndex leader = 0;             // rank-0 proposer of round 1
 
-  // A clean batch passes in one call, and its aggregate verifies.
-  shares[1].second[0] ^= 1;  // restore
-  Verifier fresh(*crypto, options);
-  auto clean = fresh.verify_shares_batch(crypto::Scheme::kNotary, msg, shares);
-  EXPECT_EQ(std::count(clean.begin(), clean.end(), 1), 3);
-  EXPECT_EQ(fresh.stats().batch_calls, 1u);
-  EXPECT_EQ(fresh.stats().batch_fallbacks, 0u);
-  Bytes agg = fresh.threshold_combine(crypto::Scheme::kNotary, msg, shares);
-  ASSERT_FALSE(agg.empty());
-  EXPECT_TRUE(fresh.verify_threshold(crypto::Scheme::kNotary, msg, agg));
+  explicit RealPartyFixture(uint64_t seed)
+      : crypto(crypto::make_real_provider(kN, kT, seed)),
+        sim(kN, std::make_unique<sim::FixedDelay>(sim::msec(1)), seed) {
+    consensus::PartyConfig pc;
+    pc.crypto = crypto.get();
+    pc.delays.delta_bnd = sim::msec(50);
+    pc.payload = std::make_shared<consensus::FixedSizePayload>(16);
+    auto party = std::make_unique<consensus::Icc0Party>(0, pc);
+    subject = party.get();
+    sim.network().set_process(0, std::move(party));
+    for (sim::PartyIndex i = 1; i < kN; ++i)
+      sim.network().set_process(i, std::make_unique<SilentPeer>());
+    sim.start();
+
+    // t+1 = 2 round-1 beacon shares let the subject enter round 1.
+    Bytes msg1 = types::beacon_message(1, types::genesis_beacon());
+    std::vector<std::pair<crypto::PartyIndex, Bytes>> shares;
+    for (crypto::PartyIndex i = 1; i <= 2; ++i) {
+      shares.emplace_back(i, crypto->beacon_sign_share(i, msg1));
+      send_from(i, Message{types::BeaconShareMsg{1, i, shares.back().second}});
+    }
+    leader = consensus::ranks_from_beacon(crypto->beacon_combine(msg1, shares), kN).by_rank[0];
+    run_for(sim::msec(5));
+  }
+
+  void send_from(sim::PartyIndex from, const Message& m) {
+    Bytes wire = types::serialize_message(m);
+    sim.engine().schedule_at(sim.engine().now(), [this, from, wire] {
+      sim::Context ctx(sim.network(), from);
+      ctx.send(0, wire);
+    });
+  }
+  void run_for(sim::Duration d) { sim.run_until(sim.engine().now() + d); }
+};
+
+TEST(CombineContractTest, CorruptShareNeverPooledAndCombineMakesNoChecks) {
+  // A seed whose round-1 leader is a silent peer, so the test owns the block.
+  std::unique_ptr<RealPartyFixture> f;
+  for (uint64_t seed = 1; !f || f->leader == 0; ++seed)
+    f = std::make_unique<RealPartyFixture>(seed);
+  ASSERT_EQ(f->subject->current_round(), 1u);
+
+  types::ProposalMsg pm;
+  pm.block = make_block(1, f->leader);
+  const types::Hash h = pm.block.hash();
+  pm.authenticator =
+      f->crypto->sign(f->leader, types::authenticator_message(1, f->leader, h));
+  f->send_from(f->leader, Message{pm});
+  f->run_for(sim::msec(5));
+  // Clause (c): the subject endorses the rank-0 block with its own share.
+  const types::Pool& pool = f->subject->pool();
+  ASSERT_EQ(pool.notarization_shares(pm.block).size(), 1u);
+
+  const Bytes msg = types::notarization_message(1, f->leader, h);
+  auto share_msg = [&](types::PartyIndex signer) {
+    return types::NotarizationShareMsg{
+        1, f->leader, h, signer,
+        f->crypto->threshold_sign_share(crypto::Scheme::kNotary, signer, msg)};
+  };
+  auto corrupt = share_msg(1);
+  corrupt.share[0] ^= 1;
+  f->send_from(1, Message{corrupt});
+  f->send_from(2, Message{share_msg(2)});
+  f->run_for(sim::msec(5));
+
+  // The corrupted share failed its ingress check and never entered the pool.
+  std::vector<types::PartyIndex> signers;
+  for (const auto& [signer, _] : pool.notarization_shares(pm.block)) signers.push_back(signer);
+  EXPECT_EQ(signers, (std::vector<types::PartyIndex>{0, 2}));
+  ASSERT_EQ(pool.notarization_for(h), nullptr);  // 2 < quorum 3
+
+  // The third valid share completes the quorum and the party combines it
+  // into a genuine aggregate: a verifier with an empty memo accepts it.
+  f->send_from(3, Message{share_msg(3)});
+  f->run_for(sim::msec(1));
+  const types::NotarizationMsg* nm = pool.notarization_for(h);
+  ASSERT_NE(nm, nullptr) << "quorum of valid shares did not combine";
+  Verifier fresh(*f->crypto, PipelineOptions{});
+  EXPECT_TRUE(fresh.verify_threshold(crypto::Scheme::kNotary, msg, nm->aggregate));
+
+  // Combining the pooled shares makes no check at all: neither the
+  // provider nor the verdict memo is consulted.
+  auto shares = pool.notarization_shares(pm.block);
+  ASSERT_EQ(shares.size(), 3u);
+  Verifier combiner(*f->crypto, PipelineOptions{});
+  const Verifier::Stats before = combiner.stats();
+  Bytes agg = combiner.threshold_combine(crypto::Scheme::kNotary, msg, shares);
+  const Verifier::Stats after = combiner.stats();
+  EXPECT_EQ(agg, nm->aggregate);
+  EXPECT_EQ(after.provider_verifications, before.provider_verifications);
+  EXPECT_EQ(after.cache_hits, before.cache_hits);
 }
 
 // --- determinism: the pipeline must be behaviour-neutral ---
 //
-// Dedup, caching and batching are pure optimizations: with identical seeds
+// Dedup, caching and the trusting combine are pure optimizations: with identical seeds
 // the committed (round, hash) sequence of every honest party must be
 // bit-identical whether the stages are on or off, for every protocol and
 // under adversarial traffic.
@@ -234,7 +313,7 @@ class DeterminismTest
 
 TEST_P(DeterminismTest, CommitSequenceIdenticalPipelineOnVsOff) {
   auto [protocol, adversary] = GetParam();
-  PipelineOptions on;  // default: dedup + cache + batch
+  PipelineOptions on;  // default: dedup + cache
   PipelineOptions off;
   off.stages = false;
   EXPECT_EQ(committed_sequences(protocol, adversary, on),
@@ -247,7 +326,7 @@ TEST_P(DeterminismTest, CommitSequenceIdenticalPipelineOnVsOff) {
 // on and off, under every adversary.
 TEST_P(DeterminismTest, CommitSequenceIdenticalAcrossThreadCounts) {
   auto [protocol, adversary] = GetParam();
-  PipelineOptions on;  // default: dedup + cache + batch
+  PipelineOptions on;  // default: dedup + cache
   auto baseline = committed_sequences(protocol, adversary, on, 1);
   for (size_t threads : {2u, 8u}) {
     EXPECT_EQ(committed_sequences(protocol, adversary, on, threads), baseline)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace icc::types {
 namespace {
 
@@ -192,6 +194,39 @@ TEST_F(PoolFixture, PruneDropsStaleValidityVerdicts) {
   // cannot be established. Before the fix the stale cache said "valid".
   pool.add_proposal(make_proposal(b2));
   EXPECT_FALSE(pool.is_valid(b2.hash()));
+}
+
+TEST_F(PoolFixture, PruneDropsSharesWhoseBlockNeverArrived) {
+  // Shares for blocks the pool never holds (an equivocator's second block,
+  // a pulled block that never came, a Byzantine signer's made-up hash)
+  // must go with their round, or a long run accretes them forever.
+  std::vector<Block> orphans;
+  for (uint32_t i = 0; i < 1000; ++i) {
+    orphans.push_back(make_block(1 + i, i % kN, root_hash(), "orphan" + std::to_string(i)));
+    const Block& b = orphans.back();
+    pool.add_notarization_share(make_notar_share(b, 0));
+    pool.add_finalization_share({b.round, b.proposer, b.hash(), 1, str_bytes("share")});
+  }
+  ASSERT_EQ(pool.notarization_shares(orphans.front()).size(), 1u);
+  ASSERT_EQ(pool.finalization_shares(orphans.back()).size(), 1u);
+
+  pool.prune_below(2000);
+  size_t left = 0;
+  for (const Block& b : orphans)
+    left += pool.notarization_shares(b).size() + pool.finalization_shares(b).size();
+  EXPECT_EQ(left, 0u);
+}
+
+TEST_F(PoolFixture, SharesOverAnotherMessageAreNeverReturnedForTheBlock) {
+  // A share signed over (round', proposer', h) verifies at ingress but is
+  // not a share of h's canonical message; the pool must not hand it to a
+  // combine for the block, nor count it toward its quorum.
+  Block b = make_block(2, 1, root_hash());
+  pool.add_notarization_share(make_notar_share(b, 0));
+  pool.add_notarization_share({b.round + 1, b.proposer, b.hash(), 1, str_bytes("share")});
+  pool.add_notarization_share({b.round, b.proposer + 1, b.hash(), 2, str_bytes("share")});
+  EXPECT_EQ(pool.notarization_shares(b).size(), 1u);
+  EXPECT_EQ(pool.notarization_share_count(b.round, b.proposer, b.hash()), 1u);
 }
 
 TEST_F(PoolFixture, EquivocatingBlocksBothTracked) {
